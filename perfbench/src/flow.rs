@@ -5,7 +5,9 @@
 //! phase by phase through each layer's public entry points, timing each
 //! call from outside.
 
-use crate::measure::{end_to_end, median, time_setup, timed, Outcome, RunConfig, SeedRng};
+use crate::measure::{
+    count, end_to_end, median, pinned, timed, Counts, Outcome, RunConfig, SeedRng, Setups,
+};
 use behav::unroll::unroll;
 use hdl::fsm::bus_wrapper_fsm;
 use hdl::synth::synthesize;
@@ -63,6 +65,15 @@ impl Design {
         workload
     }
 
+    /// The exact counts of one op, the same for every `--seed`: the
+    /// noise seeds change pixel values, not the work.
+    fn pinned_counts(self) -> &'static [(&'static str, u64)] {
+        match self {
+            Design::Small => &SMALL_COUNTS,
+            Design::Paper => &PAPER_COUNTS,
+        }
+    }
+
     /// Nominal ops per second on a 2-vCPU host; sets the op count only.
     fn nominal_ops_per_s(self) -> f64 {
         match self {
@@ -78,7 +89,8 @@ struct Prepared {
     workload: Workload,
     winners: Vec<usize>,
     reference_json: String,
-    counters: Vec<(String, u64)>,
+    /// The collector counters and simulated ticks of one instrumented op.
+    counts: Counts,
 }
 
 const WARMUP_OPS: usize = 10;
@@ -106,46 +118,49 @@ fn prepare(design: Design, seed: u64) -> Prepared {
     let report = flow::run_full_flow_instrumented(&workload, &shared).expect("flow runs");
     let reference_json = reference_json.expect("at least one warm-up op");
     assert_eq!(report.to_json(), reference_json, "instrumented op differs");
-    let counters = COUNTERS
+    let mut counts: Counts = COUNTERS
         .iter()
-        .map(|&name| (name.to_owned(), collector.counter(name)))
+        .map(|&name| (name, collector.counter(name)))
         .collect();
+    counts.push((L2_TICKS, report.metrics.l2_total_ticks));
+    counts.push((L3_TICKS, report.metrics.l3_total_ticks));
     Prepared {
         workload,
         winners,
         reference_json,
-        counters,
+        counts,
     }
 }
 
 fn check(report: &FlowReport, prepared: &Prepared) -> bool {
+    let fpga = &report.metrics;
     report.all_ok()
         && report.recognized == prepared.winners
         && report.to_json() == prepared.reference_json
+        && fpga.fpga_reconfigurations == count(&prepared.counts, "fpga.reconfigurations")
+        && fpga.fpga_download_words == count(&prepared.counts, "fpga.download_words")
 }
 
 pub fn run(design: Design, cfg: &RunConfig) -> Outcome {
-    let mut setup_s = Vec::new();
-    let prepared = time_setup(&mut setup_s, || prepare(design, cfg.seed));
-    // Exact-count guard: every set-up's instrumented op must repeat the
-    // first one's counters.
-    let mut guard_ok = true;
-
     let ops = cfg.ops(design.nominal_ops_per_s(), 4);
-    let resetup = cfg.resetup_points(ops);
+    let mut setups = Setups::new(cfg, ops);
+    let prepared = setups.time(|| prepare(design, cfg.seed));
+    // Exact-count guard: every set-up's instrumented op must measure the
+    // pinned counts. Every op's report JSON, which carries the simulated
+    // ticks and FPGA counts, equals the warm-up op's.
+    let mut guard_ok = pinned(&prepared.counts, design.pinned_counts());
     let mut latencies = Vec::with_capacity(ops);
     let mut op_walls = Vec::with_capacity(ops);
     let mut failed = 0u64;
     let mut phases: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     let mut traced_ops = Vec::new();
     for i in 0..ops {
-        if resetup.contains(&i) {
-            let again = time_setup(&mut setup_s, || prepare(design, cfg.seed));
-            guard_ok &= again.counters == prepared.counters;
+        if let Some(again) = setups.repeat_before(i, || prepare(design, cfg.seed)) {
+            guard_ok &= pinned(&again.counts, design.pinned_counts());
         }
         let traced = cfg.trace && i % 2 == 1;
         let (ok, wall) = if traced {
-            let (ok, wall) = timed(|| decomposed_op(&prepared.workload, &mut phases));
+            let (ok, wall) = timed(|| decomposed_op(&prepared, &mut phases));
             traced_ops.push(wall);
             (ok, wall)
         } else {
@@ -160,13 +175,13 @@ pub fn run(design: Design, cfg: &RunConfig) -> Outcome {
     let metrics = if cfg.trace {
         per_layer(&prepared, &latencies, &traced_ops, &phases)
     } else {
-        end_to_end(&latencies, &op_walls, 1, failed, &setup_s)
+        end_to_end(&latencies, &op_walls, 1, failed, &setups)
     };
     Outcome {
         attempted: ops as u64,
         failed,
         guard_ok,
-        guard: prepared.counters.clone(),
+        guard: prepared.counts.clone(),
         metrics,
     }
 }
@@ -187,8 +202,10 @@ const L2_TICKS: &str = "level2.sim_ticks";
 const L3_TICKS: &str = "level3.sim_ticks";
 
 /// The flow of `flow::run_full_flow`, phase by phase, with each layer
-/// call timed. Returns whether every phase passed its own check.
-fn decomposed_op(workload: &Workload, phases: &mut BTreeMap<&'static str, Vec<f64>>) -> bool {
+/// call timed. Returns whether every phase passed its own check and the
+/// simulations made the pinned number of ticks.
+fn decomposed_op(prepared: &Prepared, phases: &mut BTreeMap<&'static str, Vec<f64>>) -> bool {
+    let workload = &prepared.workload;
     let mut note = |name: &'static str, wall: f64| phases.entry(name).or_default().push(wall);
 
     let (l1, wall) = timed(|| level1::run(workload).expect("level 1 runs"));
@@ -258,8 +275,6 @@ fn decomposed_op(workload: &Workload, phases: &mut BTreeMap<&'static str, Vec<f6
         after.pct() > before.pct()
     });
     note(PCC, wall);
-    note(L2_TICKS, l2.total_ticks as f64);
-    note(L3_TICKS, l3.total_ticks as f64);
 
     l1.matches_reference
         && live
@@ -272,6 +287,8 @@ fn decomposed_op(workload: &Workload, phases: &mut BTreeMap<&'static str, Vec<f6
         && equivalent
         && props_ok
         && pcc_gain
+        && l2.total_ticks == count(&prepared.counts, L2_TICKS)
+        && l3.total_ticks == count(&prepared.counts, L3_TICKS)
 }
 
 fn per_layer(
@@ -281,7 +298,7 @@ fn per_layer(
     phases: &BTreeMap<&'static str, Vec<f64>>,
 ) -> Vec<crate::measure::Metric> {
     let wall = |name: &str| median(&phases[name]);
-    let ticks = |name: &str| phases[name][0];
+    let ticks = |name: &str| count(&prepared.counts, name) as f64;
     let level4: f64 = LEVEL4_PARTS.iter().map(|p| wall(p)).sum();
     let attributed = [L1, LIVENESS, L2, FIFO, L3, SYMBC]
         .iter()
@@ -295,13 +312,47 @@ fn per_layer(
     }
     layer.insert("level4.wall_ms", level4);
     layer.insert("flow.unattributed_ms", plain_p50 - attributed);
-    layer.insert(L2_TICKS, ticks(L2_TICKS));
-    layer.insert(L3_TICKS, ticks(L3_TICKS));
     layer.insert("level2.sim_khz", ticks(L2_TICKS) / wall(L2));
     layer.insert("level3.sim_khz", ticks(L3_TICKS) / wall(L3));
     layer.insert(
         "trace.overhead_pct",
         100.0 * (median(traced) / plain_p50 - 1.0),
     );
-    crate::layers::collect(layer, &prepared.counters)
+    crate::layers::collect(layer, &prepared.counts)
 }
+
+const SMALL_COUNTS: [(&str, u64); 15] = [
+    ("sat.solve_calls", 26),
+    ("sat.conflicts", 2),
+    ("sat.propagations", 730),
+    ("bmc.sat_calls", 24),
+    ("bdd.nodes_allocated", 210),
+    ("sim.polls", 439),
+    ("sim.time_steps", 120),
+    ("sim.timed_wakeups", 120),
+    ("bus.transactions", 140),
+    ("bus.words", 22944),
+    ("fpga.calls", 32),
+    ("fpga.reconfigurations", 4),
+    ("fpga.download_words", 16384),
+    (L2_TICKS, 67363),
+    (L3_TICKS, 85127),
+];
+
+const PAPER_COUNTS: [(&str, u64); 15] = [
+    ("sat.solve_calls", 26),
+    ("sat.conflicts", 2),
+    ("sat.propagations", 730),
+    ("bmc.sat_calls", 24),
+    ("bdd.nodes_allocated", 210),
+    ("sim.polls", 14099),
+    ("sim.time_steps", 3936),
+    ("sim.timed_wakeups", 3936),
+    ("bus.transactions", 5168),
+    ("bus.words", 171264),
+    ("fpga.calls", 1280),
+    ("fpga.reconfigurations", 16),
+    ("fpga.download_words", 65536),
+    (L2_TICKS, 331146),
+    (L3_TICKS, 444499),
+];

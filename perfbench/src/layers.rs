@@ -1,78 +1,18 @@
-//! The per-layer metrics of the traced run. Every workload prints every
-//! one of them; a layer the workload does not exercise reads 0.
+//! The per-layer metrics of the traced run: the layer readings a workload
+//! measured, then its exact counts. `run.py` reports every per-layer
+//! metric of `BENCHMARK.json` that a workload does not measure as 0.
 
 use std::collections::BTreeMap;
 
 use crate::measure::{metric, Metric};
 
-/// `(name, unit)` in print order. The names match `BENCHMARK.json`.
-pub const PER_LAYER: [(&str, &str); 46] = [
-    ("level1.wall_ms", "ms"),
-    ("level2.wall_ms", "ms"),
-    ("level3.wall_ms", "ms"),
-    ("level2.sim_khz", "kHz"),
-    ("level3.sim_khz", "kHz"),
-    ("level2.sim_ticks", "count"),
-    ("level3.sim_ticks", "count"),
-    ("level4.wall_ms", "ms"),
-    ("hdl.synth_wall_ms", "ms"),
-    ("level4.miter_wall_ms", "ms"),
-    ("mc.props_wall_ms", "ms"),
-    ("pcc.wall_ms", "ms"),
-    ("lp.liveness_wall_ms", "ms"),
-    ("lp.fifo_wall_ms", "ms"),
-    ("symbc.wall_ms", "ms"),
-    ("flow.unattributed_ms", "ms"),
-    ("trace.overhead_pct", "%"),
-    ("atpg.sat_tpg_testable_ms", "ms"),
-    ("atpg.sat_tpg_testable_total_ms", "ms"),
-    ("atpg.sat_tpg_untestable_ms", "ms"),
-    ("atpg.sat_tpg_untestable_total_ms", "ms"),
-    ("atpg.testable_share", "ratio"),
-    ("atpg.testable_obligations", "count"),
-    ("atpg.untestable_obligations", "count"),
-    ("behav.fault_sim_ms", "ms"),
-    ("serve.queue_wait_ms", "ms"),
-    ("serve.run_next_ms", "ms"),
-    ("serve.submit_us", "us"),
-    ("serve.flush_us", "us"),
-    ("serve.overhead_ms", "ms"),
-    ("cache.hit_ratio", "ratio"),
-    ("cache.lookups_per_job", "count"),
-    ("telemetry.journal_bytes_per_job", "bytes"),
-    ("sat.solve_calls", "count"),
-    ("sat.conflicts", "count"),
-    ("sat.propagations", "count"),
-    ("bmc.sat_calls", "count"),
-    ("bdd.nodes_allocated", "count"),
-    ("sim.polls", "count"),
-    ("sim.time_steps", "count"),
-    ("sim.timed_wakeups", "count"),
-    ("bus.transactions", "count"),
-    ("bus.words", "count"),
-    ("fpga.calls", "count"),
-    ("fpga.reconfigurations", "count"),
-    ("fpga.download_words", "count"),
-];
-
-/// Orders a workload's layer readings and counters into the full table.
 pub fn collect(
-    mut readings: BTreeMap<&'static str, f64>,
-    counters: &[(String, u64)],
+    readings: BTreeMap<&'static str, f64>,
+    counts: &[(&'static str, u64)],
 ) -> Vec<Metric> {
-    for (name, value) in counters {
-        if let Some(&(key, _)) = PER_LAYER.iter().find(|(n, _)| n == name) {
-            readings.insert(key, *value as f64);
-        }
-    }
-    for key in readings.keys() {
-        assert!(
-            PER_LAYER.iter().any(|(n, _)| n == key),
-            "layer metric {key} missing from the table"
-        );
-    }
-    PER_LAYER
-        .iter()
-        .map(|&(name, unit)| metric(name, readings.get(name).copied().unwrap_or(0.0), unit))
+    readings
+        .into_iter()
+        .chain(counts.iter().map(|&(name, value)| (name, value as f64)))
+        .map(|(name, value)| metric(name, value))
         .collect()
 }

@@ -10,7 +10,8 @@
 //! With `--trace 0` it prints the end-to-end metrics; with `--trace 1`
 //! the per-layer metrics of a separate traced run. The last line of
 //! standard output is one JSON object
-//! `{"correct", "attempted", "failed", "metrics"}`; the line before it
+//! `{"correct", "attempted", "failed", "metrics"}` whose metrics map each
+//! name to its value; `run.py` attaches the units. The line before it
 //! carries diagnostics (host-speed probe, exact-count guard). `--smoke`
 //! runs a handful of ops for the self-test.
 
@@ -94,10 +95,7 @@ fn main() {
         .iter()
         .map(|m| {
             assert!(m.value.is_finite(), "metric {} is not finite", m.name);
-            format!(
-                "\"{}\": {{\"value\": {:?}, \"unit\": \"{}\"}}",
-                m.name, m.value, m.unit
-            )
+            format!("\"{}\": {:?}", m.name, m.value)
         })
         .collect();
     println!(

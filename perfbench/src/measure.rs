@@ -3,16 +3,19 @@
 
 use std::time::{Duration, Instant};
 
-/// One reported metric.
+/// One reported metric. Units are not kept here: `run.py` attaches them
+/// from `BENCHMARK.json`, the one list of metric names and units.
 pub struct Metric {
     pub name: &'static str,
     pub value: f64,
-    pub unit: &'static str,
 }
 
-pub fn metric(name: &'static str, value: f64, unit: &'static str) -> Metric {
-    Metric { name, value, unit }
+pub fn metric(name: &'static str, value: f64) -> Metric {
+    Metric { name, value }
 }
+
+/// Exact counts, by name.
+pub type Counts = Vec<(&'static str, u64)>;
 
 /// What one workload run hands back to `main` for printing.
 pub struct Outcome {
@@ -20,12 +23,11 @@ pub struct Outcome {
     pub attempted: u64,
     /// Operations whose output failed its check.
     pub failed: u64,
-    /// Whether the exact-count guard held (every op repeated the counts
-    /// of its warm-up op).
+    /// Whether the exact-count guard held: every set-up measured the
+    /// counts pinned in the benchmark, and every op repeated them.
     pub guard_ok: bool,
-    /// The counts the guard pinned, printed beside the run so two runs
-    /// can be compared.
-    pub guard: Vec<(String, u64)>,
+    /// The counts the guard checked, printed beside the run.
+    pub guard: Counts,
     pub metrics: Vec<Metric>,
 }
 
@@ -99,33 +101,43 @@ fn throughput(op_walls: &[f64], unit: usize) -> f64 {
 
 /// The end-to-end metrics every workload reports, from its per-op
 /// latencies (ms), the timed wall of every op attempted (ms), the ops
-/// that failed their check and the set-up times (s). `setup_s` is the
-/// p75 of set-ups spread across the run.
+/// that failed their check and its set-ups.
 pub fn end_to_end(
     latencies: &[f64],
     op_walls: &[f64],
     block_unit: usize,
     failed: u64,
-    setup_s: &[f64],
+    setups: &Setups,
 ) -> Vec<Metric> {
     let attempted = op_walls.len() as f64;
     vec![
         // Only the p90: a fast host episode covering half a run flips its
         // median, and one covering three quarters its p75.
-        metric("latency_ms_p90", percentile(latencies, 0.9), "ms"),
-        metric(
-            "throughput_ops_per_s",
-            throughput(op_walls, block_unit),
-            "ops/s",
-        ),
-        metric(
-            "success_rate",
-            (attempted - failed as f64) / attempted,
-            "ratio",
-        ),
-        metric("peak_rss_mb", peak_rss_mb(), "MB"),
-        metric("setup_s", percentile(setup_s, 0.75), "s"),
+        metric("latency_ms_p90", percentile(latencies, 0.9)),
+        metric("throughput_ops_per_s", throughput(op_walls, block_unit)),
+        metric("success_rate", (attempted - failed as f64) / attempted),
+        metric("peak_rss_mb", setups.peak_rss_mb()),
+        metric("setup_s", percentile(&setups.times_s, 0.75)),
     ]
+}
+
+/// The count named `name`.
+pub fn count(counts: &[(&'static str, u64)], name: &str) -> u64 {
+    counts
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, value)| value)
+        .unwrap_or_else(|| panic!("no count named {name}"))
+}
+
+/// Whether `measured` are exactly the counts pinned in `expected`.
+/// Mismatches are reported on standard error.
+pub fn pinned(measured: &[(&'static str, u64)], expected: &[(&str, u64)]) -> bool {
+    let ok = measured == expected;
+    if !ok {
+        eprintln!("perfbench: exact counts {measured:?}, pinned {expected:?}");
+    }
+    ok
 }
 
 /// Peak resident set size of this process (VmHWM), in MB.
@@ -187,11 +199,57 @@ impl SeedRng {
 /// Set-ups per run, the first before the timed loop.
 const SETUP_REPS: usize = 5;
 
-/// Runs one set-up and files its wall time, in seconds, in `setup_s`.
-pub fn time_setup<P>(setup_s: &mut Vec<f64>, setup: impl FnOnce() -> P) -> P {
-    let (state, wall) = timed(setup);
-    setup_s.push(wall / 1e3);
-    state
+/// A run's set-ups. Set-up runs once before the timed loop and its state
+/// is the one measured. It is repeated before evenly spaced items of the
+/// loop; the repeats are timed, checked and discarded. Spread over the
+/// run, they see the same host speed as the ops, so `setup_s` (the p75 of
+/// all set-ups) is as steady as the latencies. A smoke run sets up once.
+pub struct Setups {
+    repeat_before: Vec<usize>,
+    times_s: Vec<f64>,
+    /// VmHWM read just before the first repeat.
+    rss_before_repeats: Option<f64>,
+}
+
+impl Setups {
+    /// Set-ups for a timed loop of `len` items.
+    pub fn new(cfg: &RunConfig, len: usize) -> Self {
+        let repeat_before = if cfg.smoke {
+            Vec::new()
+        } else {
+            (1..SETUP_REPS).map(|k| len * k / SETUP_REPS).collect()
+        };
+        Setups {
+            repeat_before,
+            times_s: Vec::new(),
+            rss_before_repeats: None,
+        }
+    }
+
+    /// Runs one set-up and files its wall time.
+    pub fn time<P>(&mut self, setup: impl FnOnce() -> P) -> P {
+        let (state, wall) = timed(setup);
+        self.times_s.push(wall / 1e3);
+        state
+    }
+
+    /// Repeats set-up when item `i` of the loop is one of the points,
+    /// and returns the repeat's state for checking.
+    pub fn repeat_before<P>(&mut self, i: usize, setup: impl FnOnce() -> P) -> Option<P> {
+        if !self.repeat_before.contains(&i) {
+            return None;
+        }
+        self.rss_before_repeats.get_or_insert_with(peak_rss_mb);
+        Some(self.time(setup))
+    }
+
+    /// Peak RSS of the measured state: VmHWM before the first repeat,
+    /// which a repeat would raise by its own duplicate state. By then the
+    /// loop has run a fifth of its ops, every distinct op at least once.
+    /// A smoke run has no repeats and reads VmHWM at its end.
+    pub fn peak_rss_mb(&self) -> f64 {
+        self.rss_before_repeats.unwrap_or_else(peak_rss_mb)
+    }
 }
 
 /// Run-wide settings parsed from the command line.
@@ -205,20 +263,6 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Where set-up is repeated: before item `i` of a timed loop of
-    /// `len` items for every `i` returned. Set-up runs once before the
-    /// loop and its state is the one measured; the repeats are timed and
-    /// discarded. Spread over the run, they see the same host speed as
-    /// the ops, so `setup_s` (their p75) is as steady as the latencies.
-    /// A smoke run sets up once.
-    pub fn resetup_points(&self, len: usize) -> Vec<usize> {
-        if self.smoke {
-            Vec::new()
-        } else {
-            (1..SETUP_REPS).map(|k| len * k / SETUP_REPS).collect()
-        }
-    }
-
     /// Op count for a workload whose ops nominally complete at
     /// `nominal_per_s`: fixed by `--seconds`, never by the wall clock, so
     /// every run does the same work. At least 100, so the p90 has ten
