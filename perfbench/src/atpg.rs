@@ -9,7 +9,9 @@
 //! so `--seed` only orders the bundles within each pass. Bundle
 //! composition is fixed, so every seed runs the same multiset of ops.
 
-use crate::measure::{end_to_end, median, timed, Counts, Outcome, RunConfig, SeedRng, Setups};
+use crate::measure::{
+    end_to_end, median, tail, timed, ByOp, Counts, Outcome, RunConfig, SeedRng, Setups,
+};
 use atpg::formal::sat_fault_tpg;
 use atpg::metrics::bit_coverage;
 use atpg::tpg::{random_tpg, RandomConfig};
@@ -28,8 +30,7 @@ const UNTESTABLE: [usize; 18] = [
 ];
 /// Bundles per pass over the campaign. A single obligation is bimodal
 /// (testable ≈ 2–160 ms, untestable ≈ 1–3 ms); a bundle of five or six
-/// mixes both, so op latency has one mode. With nine bundles the p90
-/// rank falls inside one bundle's repeats, not between two.
+/// mixes both, so op latency has one mode.
 const BUNDLES: usize = 9;
 /// Nominal passes per second on a 2-vCPU host; sets the op count only.
 const NOMINAL_PASSES_PER_S: f64 = 0.52;
@@ -146,9 +147,10 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     // must repeat the warm-up campaign's.
     let mut guard_ok = p.pinned();
 
-    let mut latencies = Vec::new();
+    // The ops of the mix are the bundles.
+    let mut latencies = ByOp::default();
     let mut traced_latencies = Vec::new();
-    let mut op_walls = Vec::new();
+    let mut op_walls = ByOp::default();
     let mut failed = 0u64;
     // Per traced pass: (testable ms, untestable ms) per obligation.
     let mut traced_passes: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
@@ -175,7 +177,7 @@ pub fn run(cfg: &RunConfig) -> Outcome {
                     })
                     .collect::<Vec<_>>()
             });
-            op_walls.push(wall);
+            op_walls.push(b, wall);
             if traced {
                 traced_latencies.push(wall);
                 for (&i, w) in bundle.iter().zip(walls) {
@@ -185,7 +187,7 @@ pub fn run(cfg: &RunConfig) -> Outcome {
                     }
                 }
             } else {
-                latencies.push(wall);
+                latencies.push(b, wall);
             }
             let ok = bundle.iter().zip(results).all(|(&i, r)| match r {
                 Ok(verdict) => {
@@ -205,17 +207,30 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     }
 
     let guard = p.counts();
-    let metrics = if cfg.trace {
-        per_layer(&p, &latencies, &traced_latencies, &traced_passes, &guard)
+    let (metrics, notes) = if cfg.trace {
+        (
+            per_layer(
+                &p,
+                &latencies.all(),
+                &traced_latencies,
+                &traced_passes,
+                &guard,
+            ),
+            Vec::new(),
+        )
     } else {
-        end_to_end(&latencies, &op_walls, BUNDLES, failed, &setups)
+        (
+            end_to_end(&latencies, &op_walls, failed, &setups),
+            tail(&latencies),
+        )
     };
     Outcome {
-        attempted: op_walls.len() as u64,
+        attempted: op_walls.all().len() as u64,
         failed,
         guard_ok,
         guard,
         metrics,
+        notes,
     }
 }
 

@@ -6,7 +6,8 @@
 //! call from outside.
 
 use crate::measure::{
-    count, end_to_end, median, pinned, timed, Counts, Outcome, RunConfig, SeedRng, Setups,
+    count, end_to_end, median, pinned, tail, timed, ByOp, Counts, Outcome, RunConfig, SeedRng,
+    Setups,
 };
 use behav::unroll::unroll;
 use hdl::fsm::bus_wrapper_fsm;
@@ -149,8 +150,9 @@ pub fn run(design: Design, cfg: &RunConfig) -> Outcome {
     // pinned counts. Every op's report JSON, which carries the simulated
     // ticks and FPGA counts, equals the warm-up op's.
     let mut guard_ok = pinned(&prepared.counts, design.pinned_counts());
-    let mut latencies = Vec::with_capacity(ops);
-    let mut op_walls = Vec::with_capacity(ops);
+    // Every op is the same flow on the same design: one op of the mix.
+    let mut latencies = ByOp::default();
+    let mut op_walls = ByOp::default();
     let mut failed = 0u64;
     let mut phases: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     let mut traced_ops = Vec::new();
@@ -165,17 +167,23 @@ pub fn run(design: Design, cfg: &RunConfig) -> Outcome {
             (ok, wall)
         } else {
             let (report, wall) = timed(|| flow::run_full_flow(&prepared.workload));
-            latencies.push(wall);
+            latencies.push(0, wall);
             (report.is_ok_and(|r| check(&r, &prepared)), wall)
         };
-        op_walls.push(wall);
+        op_walls.push(0, wall);
         failed += u64::from(!ok);
     }
 
-    let metrics = if cfg.trace {
-        per_layer(&prepared, &latencies, &traced_ops, &phases)
+    let (metrics, notes) = if cfg.trace {
+        (
+            per_layer(&prepared, &latencies.all(), &traced_ops, &phases),
+            Vec::new(),
+        )
     } else {
-        end_to_end(&latencies, &op_walls, 1, failed, &setups)
+        (
+            end_to_end(&latencies, &op_walls, failed, &setups),
+            tail(&latencies),
+        )
     };
     Outcome {
         attempted: ops as u64,
@@ -183,6 +191,7 @@ pub fn run(design: Design, cfg: &RunConfig) -> Outcome {
         guard_ok,
         guard: prepared.counts.clone(),
         metrics,
+        notes,
     }
 }
 

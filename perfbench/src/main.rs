@@ -12,8 +12,9 @@
 //! standard output is one JSON object
 //! `{"correct", "attempted", "failed", "metrics"}` whose metrics map each
 //! name to its value; `run.py` attaches the units. The line before it
-//! carries diagnostics (host-speed probe, exact-count guard). `--smoke`
-//! runs a handful of ops for the self-test.
+//! carries diagnostics (host-speed probe, exact-count guard and, untraced,
+//! the median and p90 of all latencies). `--smoke` runs a handful of ops
+//! for the self-test.
 
 mod atpg;
 mod flow;
@@ -84,11 +85,17 @@ fn main() {
         .iter()
         .map(|(k, v)| format!("\"{k}\": {v}"))
         .collect();
+    let notes: Vec<String> = outcome
+        .notes
+        .iter()
+        .map(|m| format!(", \"{}\": {:?}", m.name, m.value))
+        .collect();
     println!(
         "{{\"diagnostics\": {{\"host_probe_ms\": {{\"start\": {probe_start}, \"end\": {probe_end}}}, \
-         \"guard_ok\": {}, \"guard\": {{{}}}}}}}",
+         \"guard_ok\": {}, \"guard\": {{{}}}{}}}}}",
         outcome.guard_ok,
-        guard.join(", ")
+        guard.join(", "),
+        notes.concat()
     );
     let metrics: Vec<String> = outcome
         .metrics

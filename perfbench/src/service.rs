@@ -9,7 +9,8 @@
 //! seeds and the order in which the specs are submitted.
 
 use crate::measure::{
-    end_to_end, median, pinned, timed, Counts, Outcome, PausableClock, RunConfig, SeedRng, Setups,
+    end_to_end, median, pinned, tail, timed, ByOp, Counts, Outcome, PausableClock, RunConfig,
+    SeedRng, Setups,
 };
 use serve::{JobId, JobOutcome, Service, ServiceConfig};
 use std::collections::BTreeMap;
@@ -172,8 +173,9 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     // measure the pinned counts.
     let mut guard_ok = pinned(&p.counts, &PINNED_COUNTS);
     let mut clock = PausableClock::default();
-    let mut latencies = Vec::new();
-    let mut op_walls = Vec::with_capacity(ops);
+    // The ops of the mix are the specs.
+    let mut latencies = ByOp::default();
+    let mut op_walls = ByOp::default();
     let mut traced_latencies = Vec::new();
     let mut failed = 0u64;
     let mut cache_before = p.service.cache().stats();
@@ -194,9 +196,8 @@ pub fn run(cfg: &RunConfig) -> Outcome {
         p.submit(&record.tenant, Some(flushed));
         let submitted = clock.now_ms();
         clock.pause();
-        op_walls.push(submitted - started);
-
         let (index, queued_at) = p.pending.remove(&record.id).expect("job was submitted");
+        op_walls.push(index, submitted - started);
         failed += u64::from(!p.matches(&record.outcome, index));
         let stats = p.service.cache().stats();
         let job = [
@@ -237,13 +238,13 @@ pub fn run(cfg: &RunConfig) -> Outcome {
             note(&mut split, "serve.submit_us", (submitted - flushed) * 1e3);
             note(&mut split, "serve.overhead_ms", recorded - started - direct);
         } else {
-            latencies.push(latency);
+            latencies.push(index, latency);
         }
     }
 
     let mut guard = p.counts.clone();
     guard.extend(job_counts);
-    let metrics = if cfg.trace {
+    let (metrics, notes) = if cfg.trace {
         let mut layer: BTreeMap<&'static str, f64> =
             split.iter().map(|(&k, v)| (k, median(v))).collect();
         layer.insert("cache.hit_ratio", hits as f64 / lookups as f64);
@@ -254,11 +255,14 @@ pub fn run(cfg: &RunConfig) -> Outcome {
         );
         layer.insert(
             "trace.overhead_pct",
-            100.0 * (median(&traced_latencies) / median(&latencies) - 1.0),
+            100.0 * (median(&traced_latencies) / median(&latencies.all()) - 1.0),
         );
-        crate::layers::collect(layer, &p.counts)
+        (crate::layers::collect(layer, &p.counts), Vec::new())
     } else {
-        end_to_end(&latencies, &op_walls, 1, failed, &setups)
+        (
+            end_to_end(&latencies, &op_walls, failed, &setups),
+            tail(&latencies),
+        )
     };
     Outcome {
         attempted: ops as u64,
@@ -266,6 +270,7 @@ pub fn run(cfg: &RunConfig) -> Outcome {
         guard_ok,
         guard,
         metrics,
+        notes,
     }
 }
 
