@@ -47,6 +47,26 @@ fn flow_report_json_is_byte_identical() {
     assert_golden("flow_report.json", &report.to_json());
 }
 
+/// Pins the flow's work: every counter the small flow emits (SAT solves
+/// and propagations, BMC calls, BDD nodes, simulation polls, bus and FPGA
+/// activity, …), sorted by name. A refactor that keeps the report but
+/// changes how much work the engines do shows up here as a diff.
+#[test]
+fn flow_counters_are_byte_identical() {
+    let collector = Collector::shared();
+    let instr: SharedInstrument = collector.clone();
+    run_full_flow_instrumented(&Workload::small(), &instr).expect("flow runs");
+    let lines: Vec<String> = collector
+        .counters()
+        .into_iter()
+        .map(|(name, value)| format!("  \"{name}\": {value}"))
+        .collect();
+    assert_golden(
+        "flow_counters.json",
+        &format!("{{\n{}\n}}\n", lines.join(",\n")),
+    );
+}
+
 #[test]
 fn faulted_run_exports_recovery_counters() {
     use sim::faults::FaultPlan;
