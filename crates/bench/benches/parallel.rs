@@ -40,7 +40,12 @@ fn parallel_benches(c: &mut Criterion) {
     group.sample_size(10);
     for (name, mode) in modes {
         group.bench_function(name, |b| {
-            b.iter(|| symbad_core::cascade::run_mode(black_box(mode)))
+            b.iter(|| {
+                symbad_core::cascade::run(&symbad_core::RunCtx {
+                    mode: black_box(mode),
+                    ..symbad_core::RunCtx::default()
+                })
+            })
         });
     }
     group.finish();

@@ -12,7 +12,7 @@ use symbad_core::explore;
 use symbad_core::level4;
 use symbad_core::partition::ArchConfig;
 use symbad_core::workload::Workload;
-use symbad_core::{level1, level2, level3};
+use symbad_core::{level1, level2, level3, RunCtx};
 
 fn main() {
     println!("Symbad reproduction — experiment report");
@@ -341,7 +341,7 @@ fn e8() {
     println!("── E8: model checking + PCC at level 4 ──");
     println!("paper: 'PCC allowed us to identify property missing in the initial");
     println!("        verification plan'\n");
-    let report = level4::run();
+    let (report, _) = level4::run(&RunCtx::default());
     for (name, nodes, equivalent) in &report.kernels {
         println!("| kernel {name} | {nodes} RTL nodes | RTL ≡ behavioural: {equivalent} |");
     }
@@ -396,7 +396,7 @@ fn e9_e10(workload: &Workload) {
 
 fn e12() {
     println!("── E12: the verification cascade end-to-end ──");
-    let report = cascade::run();
+    let (report, _) = cascade::run(&RunCtx::default());
     println!("| stage | level | seeded error | caught | fix certified |");
     println!("|-------|-------|--------------|--------|---------------|");
     for s in &report.stages {

@@ -19,6 +19,8 @@ use mc::{bmc, Verdict};
 use media::profile::{build_profile, MODULES};
 use symbc::{check, ConfigMap, Verdict as SymbcVerdict};
 
+use crate::supervise::{self, ObligationOutcome, ObligationStatus, RunCtx};
+
 /// Result of one cascade stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageResult {
@@ -151,37 +153,6 @@ pub fn wrapper(correct: bool) -> hdl::Rtl {
     b.build()
 }
 
-/// Runs the whole cascade: each stage on its buggy artifact (must catch)
-/// and on the corrected artifact (must certify).
-pub fn run() -> CascadeReport {
-    run_mode(exec::ExecMode::Sequential)
-}
-
-/// [`run`] with each stage executed as an independent obligation,
-/// optionally across worker threads. Every stage builds its own artifacts
-/// and engines, and each is deterministic, so the report is bit-identical
-/// to the sequential run (stages stay in flow order).
-pub fn run_mode(mode: exec::ExecMode) -> CascadeReport {
-    run_cached(mode, cache::noop())
-}
-
-/// [`run_mode`] backed by the obligation cache. Only the model-checking
-/// stage poses cacheable obligations (the other stages' engines — fault
-/// simulation, LP, abstract interpretation — decide in microseconds and
-/// are not content-addressed); its two BMC verdicts replay from the cache
-/// on warm runs.
-pub fn run_cached(mode: exec::ExecMode, cache: &cache::ObligationCache) -> CascadeReport {
-    let jobs: Vec<usize> = (0..5).collect();
-    let stages = exec::map(mode, jobs, |_, i| match i {
-        0 => stage_atpg(),
-        1 => stage_lpv_liveness(),
-        2 => stage_lpv_deadline(),
-        3 => stage_symbc(),
-        _ => stage_model_checking(cache),
-    });
-    CascadeReport { stages }
-}
-
 /// Stage metadata used to fabricate a degraded [`StageResult`] when a
 /// stage panics and never returns one: `(stage, level, seeded_error)` in
 /// flow order, mirroring the constructors below.
@@ -213,32 +184,39 @@ const STAGE_META: [(&str, u8, &str); 5] = [
     ),
 ];
 
-/// [`run_cached`] under a [`crate::supervise::SupervisionPolicy`]: each
-/// stage runs panic-isolated (caught, optionally retried once), the
-/// model-checking stage honours the policy's effort budget via
-/// [`bmc::check_budgeted`], and the report is accompanied by the
-/// per-stage [`crate::supervise::ObligationOutcome`] taxonomy. A
-/// panicked stage degrades to a fabricated `StageResult` (from the
-/// crate-private `STAGE_META` table) with `caught: false`,
-/// `clean_passes: false`, and the panic message as detail — the cascade
-/// always returns all five stages, bit-identically for any worker count.
-pub fn run_supervised(
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-    policy: &crate::supervise::SupervisionPolicy,
-) -> (CascadeReport, Vec<crate::supervise::ObligationOutcome>) {
-    use crate::supervise::{ObligationOutcome, ObligationStatus};
-
-    let effort = policy.effort;
-    let retry = policy.retry_panicked;
+/// Runs the whole cascade: each stage on its buggy artifact (must catch)
+/// and on the corrected artifact (must certify), as five independent
+/// obligations fanned out across `ctx.mode`'s workers. Every stage builds
+/// its own artifacts and engines, so the report is bit-identical for any
+/// worker count (stages stay in flow order).
+///
+/// Each stage runs panic-isolated (caught, retried once when
+/// `ctx.policy` says so), and the report is accompanied by the per-stage
+/// [`ObligationOutcome`] taxonomy. Only the model-checking stage poses
+/// SAT obligations: its two BMC verdicts honour the policy's effort
+/// budget and replay from `ctx.cache` on warm runs (the other stages'
+/// engines — fault simulation, LP, abstract interpretation — decide in
+/// microseconds and are not content-addressed). A panicked stage
+/// degrades to a fabricated `StageResult` (from the crate-private
+/// `STAGE_META` table) with `caught: false`, `clean_passes: false`, and
+/// the panic message as detail — the cascade always returns all five
+/// stages. The stages record no telemetry and no journal events.
+///
+/// ```
+/// let (report, _) = symbad_core::cascade::run(&symbad_core::RunCtx::default());
+/// assert!(report.all_effective());
+/// ```
+pub fn run(ctx: &RunCtx) -> (CascadeReport, Vec<ObligationOutcome>) {
+    let (cache, effort) = (ctx.cache, ctx.policy.effort);
+    let retry = ctx.policy.retry_panicked;
     let jobs: Vec<usize> = (0..STAGE_META.len()).collect();
-    let supervised = exec::map(mode, jobs, |_, i| {
-        crate::supervise::run_supervised_job(retry, || match i {
+    let supervised = exec::map(ctx.mode, jobs, |_, i| {
+        supervise::run_supervised_job(retry, || match i {
             0 => (stage_atpg(), false),
             1 => (stage_lpv_liveness(), false),
             2 => (stage_lpv_deadline(), false),
             3 => (stage_symbc(), false),
-            _ => stage_model_checking_budgeted(cache, &effort),
+            _ => stage_model_checking(cache, &effort),
         })
     });
 
@@ -395,33 +373,11 @@ fn stage_symbc() -> StageResult {
     }
 }
 
-/// Stage 4: model checking at level 4.
-fn stage_model_checking(cache: &cache::ObligationCache) -> StageResult {
-    let buggy = wrapper(false);
-    let clean = wrapper(true);
-    let p = Property::response(
-        "done_returns_to_idle",
-        BoolExpr::eq("state", 3),
-        BoolExpr::eq("state", 0),
-        1,
-    );
-    let buggy_verdict = bmc::check_cached(&buggy, &p, 10, &telemetry::noop(), cache);
-    let clean_verdict = bmc::check_cached(&clean, &p, 10, &telemetry::noop(), cache);
-    StageResult {
-        stage: "Model checking (BMC)",
-        level: 4,
-        seeded_error: "DONE state latches instead of returning to IDLE",
-        caught: buggy_verdict.is_violated(),
-        clean_passes: matches!(clean_verdict, Verdict::NoViolationUpTo(_)),
-        detail: format!("buggy verdict: {buggy_verdict:?}"),
-    }
-}
-
-/// [`stage_model_checking`] under an effort budget: both BMC verdicts go
-/// through [`bmc::check_budgeted`], and the second element reports
-/// whether either query exhausted the budget (the stage then certifies
-/// nothing — an exhausted verdict is evidence of nothing).
-fn stage_model_checking_budgeted(
+/// Stage 4: model checking at level 4, under an effort budget. The second
+/// element reports whether either BMC query exhausted the budget (the
+/// stage then certifies nothing — an exhausted verdict is evidence of
+/// nothing).
+fn stage_model_checking(
     cache: &cache::ObligationCache,
     effort: &exec::Effort,
 ) -> (StageResult, bool) {
@@ -433,8 +389,8 @@ fn stage_model_checking_budgeted(
         BoolExpr::eq("state", 0),
         1,
     );
-    let buggy_verdict = bmc::check_budgeted(&buggy, &p, 10, effort, &telemetry::noop(), cache);
-    let clean_verdict = bmc::check_budgeted(&clean, &p, 10, effort, &telemetry::noop(), cache);
+    let buggy_verdict = bmc::check_cached(&buggy, &p, 10, effort, &telemetry::noop(), cache);
+    let clean_verdict = bmc::check_cached(&clean, &p, 10, effort, &telemetry::noop(), cache);
     let budget_exhausted =
         buggy_verdict.is_budget_exhausted() || clean_verdict.is_budget_exhausted();
     let stage = StageResult {
@@ -458,7 +414,7 @@ mod tests {
 
     #[test]
     fn every_stage_catches_its_bug_and_certifies_the_fix() {
-        let report = run();
+        let (report, _) = run(&RunCtx::default());
         assert_eq!(report.stages.len(), 5);
         for s in &report.stages {
             assert!(s.caught, "{} failed to catch: {}", s.stage, s.detail);
@@ -473,7 +429,7 @@ mod tests {
 
     #[test]
     fn stages_are_ordered_by_level() {
-        let report = run();
+        let (report, _) = run(&RunCtx::default());
         let levels: Vec<u8> = report.stages.iter().map(|s| s.level).collect();
         let mut sorted = levels.clone();
         sorted.sort_unstable();
@@ -491,20 +447,20 @@ mod tests {
 
     #[test]
     fn parallel_cascade_is_bit_identical() {
-        let reference = run();
+        let reference = run(&RunCtx::default());
         for workers in [2, 8] {
-            assert_eq!(run_mode(exec::ExecMode::Parallel { workers }), reference);
+            let ctx = RunCtx {
+                mode: exec::ExecMode::Parallel { workers },
+                ..RunCtx::default()
+            };
+            assert_eq!(run(&ctx), reference);
         }
     }
 
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
-    fn supervised_cascade_idle_equals_legacy() {
-        use crate::supervise::{ObligationStatus, SupervisionPolicy};
-        let reference = run();
-        let policy = SupervisionPolicy::default();
-        let (report, outcomes) = run_supervised(exec::ExecMode::Sequential, cache::noop(), &policy);
-        assert_eq!(report, reference);
+    fn idle_supervision_proves_every_stage() {
+        let (_, outcomes) = run(&RunCtx::default());
         assert_eq!(outcomes.len(), 5);
         for o in &outcomes {
             assert_eq!(
@@ -521,16 +477,20 @@ mod tests {
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn starved_cascade_degrades_only_the_bmc_stage() {
-        use crate::supervise::{ObligationStatus, SupervisionPolicy};
+        use crate::supervise::SupervisionPolicy;
         let starve = exec::Effort {
             sat_conflicts: None,
             sat_decisions: Some(0),
             bdd_nodes: None,
         };
-        let policy = SupervisionPolicy::with_effort(starve);
         let run_once = |mode| {
             let cache = cache::ObligationCache::new();
-            run_supervised(mode, &cache, &policy)
+            run(&RunCtx {
+                mode,
+                cache: &cache,
+                policy: SupervisionPolicy::with_effort(starve),
+                ..RunCtx::default()
+            })
         };
         let (report, outcomes) = run_once(exec::ExecMode::Sequential);
         // The four engine-less stages are untouched by a SAT budget…

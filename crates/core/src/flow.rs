@@ -1,21 +1,21 @@
 //! The complete Figure-1 flow as one call.
 //!
-//! [`run_full_flow`] executes every phase of the methodology in order —
+//! [`run`] executes every phase of the methodology in order —
 //! level-1 functional model, LPV checks, level-2 mapping, level-3
 //! reconfigurable platform, SymbC, level-4 RTL + model checking + PCC —
 //! with the cross-level equivalence checks between refinements, and
 //! aggregates the evidence into one [`FlowReport`]. This is the "system
 //! level design platform" deliverable the abstract promises, as a library
-//! entry point.
+//! entry point. [`run_full_flow`], [`run_full_flow_instrumented`] and
+//! [`run_full_flow_job`] are shorthands for common [`RunCtx`] settings.
 
 use crate::job::JobSpec;
 use crate::partition::ArchConfig;
-use crate::supervise::{
-    self, DegradationSummary, ObligationOutcome, ObligationStatus, SupervisionPolicy,
-};
+use crate::supervise::ObligationStatus::{Panicked, Proved, Refuted};
+use crate::supervise::{self, DegradationSummary, ObligationOutcome, RunCtx};
 use crate::timed::{self, MatcherKind, ReconfigStrategy, RecoveryPolicy, RunError};
 use crate::workload::Workload;
-use crate::{cascade, level1, level2, level3, level4};
+use crate::{cascade, level1, level2, level4};
 use lp::lpv::LivenessVerdict;
 use sim::{FaultPlan, SimError};
 
@@ -63,9 +63,11 @@ pub struct FlowReport {
     pub recognized: Vec<usize>,
     /// Quantitative summary across the levels.
     pub metrics: FlowMetrics,
-    /// Supervision outcome taxonomy — `Some` only on the supervised path
-    /// ([`run_full_flow_supervised`]); the legacy entry points leave it
-    /// `None` and render byte-identically to before supervision existed.
+    /// Supervision outcome taxonomy of every verification obligation.
+    /// [`run`] and [`run_full_flow_job`] always fill it;
+    /// [`run_full_flow`] and [`run_full_flow_instrumented`] drop it, so
+    /// their rendering carries no `degradation` section (pinned by
+    /// `tests/golden/flow_report.json`).
     pub degradation: Option<DegradationSummary>,
 }
 
@@ -76,10 +78,10 @@ impl FlowReport {
     }
 
     /// Whether every phase passed *and* every supervised obligation ended
-    /// conclusively (no budget-exhausted Unknowns, no panics). For the
-    /// legacy entry points this equals [`FlowReport::all_ok`]; for the
-    /// supervised flow it is the stronger claim — a degraded report can
-    /// have `all_ok() == false` with `conclusive() == false` telling you
+    /// conclusively (no budget-exhausted Unknowns, no panics). Without a
+    /// `degradation` summary this equals [`FlowReport::all_ok`]; with one
+    /// it is the stronger claim — a degraded report can have
+    /// `all_ok() == false` with `conclusive() == false` telling you
     /// whether the failures are verdicts or missing evidence.
     pub fn conclusive(&self) -> bool {
         self.all_ok()
@@ -114,8 +116,8 @@ impl FlowReport {
             .section(phases)
             .section(metrics)
             .section(recognition);
-        // Only supervised runs carry the degradation section — legacy
-        // reports (and their goldens) stay byte-identical.
+        // Reports without a degradation summary (`run_full_flow`, and the
+        // golden it pins) render without the section.
         if let Some(d) = &self.degradation {
             let mut degradation = telemetry::Section::new("degradation")
                 .entry("obligations", d.total as u64)
@@ -152,7 +154,9 @@ impl FlowReport {
     }
 }
 
-/// Runs the complete four-level flow on a workload.
+/// Runs the complete four-level flow on a workload: [`run`] with the
+/// default platform, no faults and [`RunCtx::default`], rendered without
+/// the `degradation` section.
 ///
 /// ```
 /// let workload = symbad_core::Workload::small();
@@ -169,23 +173,6 @@ pub fn run_full_flow(workload: &Workload) -> Result<FlowReport, SimError> {
     run_full_flow_instrumented(workload, &telemetry::noop())
 }
 
-/// [`run_full_flow`] with the verification obligations dispatched across
-/// worker threads when `mode` is parallel. The simulations of levels 1–3
-/// stay sequential (they are single trajectories); the LPV dimensioning,
-/// the level-4 miters/model checking/PCC, and the SAT portfolio fan out.
-/// The report — verdicts, counterexamples, coverage, and JSON rendering —
-/// is bit-identical to the sequential run for any worker count.
-///
-/// # Errors
-///
-/// Propagates kernel errors from the simulations.
-pub fn run_full_flow_mode(
-    workload: &Workload,
-    mode: exec::ExecMode,
-) -> Result<FlowReport, SimError> {
-    run_full_flow_instrumented_mode(workload, &telemetry::noop(), mode)
-}
-
 /// [`run_full_flow`] with telemetry: every level runs with the given
 /// instrument (bus spans, FPGA activity, engine counters accumulate into
 /// one collector), and the flow itself adds a `flow` track whose time axis
@@ -200,106 +187,123 @@ pub fn run_full_flow_instrumented(
     workload: &Workload,
     instrument: &telemetry::SharedInstrument,
 ) -> Result<FlowReport, SimError> {
-    run_full_flow_instrumented_mode(workload, instrument, exec::ExecMode::Sequential)
+    let ctx = RunCtx {
+        instrument: instrument.clone(),
+        ..RunCtx::default()
+    };
+    let report = run(workload, &ArchConfig::default(), None, &ctx)?;
+    Ok(FlowReport {
+        degradation: None,
+        ..report
+    })
 }
 
-/// [`run_full_flow_instrumented`] with an explicit [`exec::ExecMode`] —
-/// see [`run_full_flow_mode`] for what parallelizes. On the sequential
-/// path the telemetry stream is byte-identical to
-/// [`run_full_flow_instrumented`]; on parallel paths the per-obligation
-/// collectors are merged back in obligation order (the SAT portfolio
-/// contestants stay uninstrumented because their winner is
-/// wall-clock-dependent).
+/// Runs the flow a [`JobSpec`] describes: the spec's design becomes the
+/// workload, its platform variant drives the level-3 architecture and the
+/// level-2 FIFO dimensioning, its fault campaign (if any) is injected into
+/// the level-3 simulation under the default [`RecoveryPolicy`], and its
+/// supervision policy budgets the verification obligations. With
+/// `JobSpec::default()` this is exactly [`run`] on [`Workload::small`]
+/// with the default platform and policy — same phases, same verdicts,
+/// bit-identical JSON (pinned by `tests/service_equivalence.rs`).
 ///
 /// # Errors
 ///
 /// Propagates kernel errors from the simulations.
-pub fn run_full_flow_instrumented_mode(
-    workload: &Workload,
+pub fn run_full_flow_job(
+    spec: &JobSpec,
     instrument: &telemetry::SharedInstrument,
     mode: exec::ExecMode,
+    cache: &cache::ObligationCache,
 ) -> Result<FlowReport, SimError> {
-    run_full_flow_cached(workload, instrument, mode, cache::noop())
+    let ctx = RunCtx {
+        instrument: instrument.clone(),
+        mode,
+        cache,
+        journal: None,
+        policy: spec.policy,
+    };
+    run(
+        &spec.design.workload(),
+        &spec.platform.arch(),
+        spec.faults.map(|f| f.plan()),
+        &ctx,
+    )
 }
 
-/// [`run_full_flow_instrumented_mode`] backed by the obligation cache:
-/// every SAT/BDD verification obligation of the flow — the level-4 kernel
-/// miters, wrapper model checking, and PCC kill checks — consults `cache`
-/// before running an engine and stores its verdict after. On a warm cache
-/// the verification phases replay from stored verdicts, and the
-/// [`FlowReport`] (phases, metrics, recognition, JSON rendering) is
-/// bit-identical to the cold run — cached payloads are the engines' own
-/// encoded verdicts, decoded exactly.
+/// Runs the complete four-level flow: levels 1–3 simulate `workload` on
+/// the `arch` platform (with `faults` injected into level 3 under the
+/// default [`RecoveryPolicy`]), and every verification obligation — LPV
+/// liveness, LPV FIFO dimensioning, SymbC, and the nine level-4
+/// obligations ([`level4::run`]) — runs panic-isolated and
+/// effort-budgeted under `ctx.policy`. The report carries the
+/// [`DegradationSummary`] taxonomy in `degradation` (rendered as a
+/// `degradation` section by [`FlowReport::to_report`]).
 ///
-/// The cache is in-memory; persist it across processes with
-/// [`cache::ObligationCache::save`] / [`cache::ObligationCache::load_or_empty`]
-/// (see `examples/full_flow.rs`, which keeps it under
-/// `target/symbad-cache/`).
+/// The levels 1–3 *simulations* are not supervised: they are the flow's
+/// subject, propagate their own typed [`SimError`]s, and a corrupted
+/// simulation invalidates everything downstream anyway.
+///
+/// `ctx` decides how the run executes, never its verdicts:
+///
+/// * `mode` fans the LPV dimensioning and the level-4 miters and wrapper
+///   properties out across workers; the report, the merged telemetry
+///   and the journal's deterministic lane are bit-identical for any
+///   worker count,
+/// * `cache` replays stored verdicts of the SAT/BDD obligations (the
+///   kernel miters, wrapper model checking, PCC kill checks); a warm
+///   report is bit-identical to the cold one. Persist it across
+///   processes with [`cache::ObligationCache::save`] /
+///   [`cache::ObligationCache::load_or_empty`],
+/// * `journal` records every phase, the FPGA reconfiguration summary and
+///   every obligation's lifecycle — start, cache probe, per-axis budget
+///   spend, panics/retries, a provenance-carrying finish with effort
+///   attribution, degradation — on its deterministic lane, and wall
+///   latencies plus worker/queue attribution on its timing lane.
+///
+/// Degradation is graceful and deterministic: a panicked obligation is
+/// retried once (when the policy says so) and then recorded as
+/// `Panicked` with its exact panic message; a budget-exhausted
+/// model-checking obligation is cross-checked by deterministic
+/// simulation and recorded as `Refuted` (witness found) or `Unknown`;
+/// phases over degraded obligations report `ok: false` with the
+/// degradation spelled out in their detail line.
 ///
 /// ```
-/// use symbad_core::flow::run_full_flow_cached;
+/// use symbad_core::flow;
+/// use symbad_core::partition::ArchConfig;
+/// use symbad_core::{RunCtx, Workload};
 ///
-/// let workload = symbad_core::Workload::small();
+/// let workload = Workload::small();
 /// let obligations = cache::ObligationCache::new();
-/// let cold = run_full_flow_cached(
-///     &workload, &telemetry::noop(), exec::ExecMode::Sequential, &obligations,
-/// ).expect("cold flow runs");
-/// let warm = run_full_flow_cached(
-///     &workload, &telemetry::noop(), exec::ExecMode::Sequential, &obligations,
-/// ).expect("warm flow runs");
+/// let ctx = RunCtx { cache: &obligations, ..RunCtx::default() };
+/// let cold = flow::run(&workload, &ArchConfig::default(), None, &ctx).expect("cold flow runs");
+/// let warm = flow::run(&workload, &ArchConfig::default(), None, &ctx).expect("warm flow runs");
 /// // The warm run replays every obligation from the cache…
-/// let stats = obligations.stats();
-/// assert!(stats.hits > 0);
+/// assert!(obligations.stats().hits > 0);
 /// // …and the report is bit-identical to the cold one.
 /// assert_eq!(warm.to_json(), cold.to_json());
+/// assert!(cold.conclusive());
 /// ```
 ///
 /// # Errors
 ///
-/// Propagates kernel errors from the simulations.
-pub fn run_full_flow_cached(
+/// Propagates kernel errors from the simulations (supervision does not
+/// mask them).
+pub fn run(
     workload: &Workload,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
+    arch: &ArchConfig,
+    faults: Option<FaultPlan>,
+    ctx: &RunCtx,
 ) -> Result<FlowReport, SimError> {
-    run_full_flow_cached_impl(workload, instrument, mode, cache, None)
-}
-
-/// [`run_full_flow_cached`] with a flight recorder: every phase
-/// transition lands on the journal's deterministic lane as a `phase`
-/// event, and the level-3 reconfiguration summary as an `fpga_reconfig`
-/// event. The journal never perturbs the flow — the [`FlowReport`]
-/// (including its JSON rendering) is byte-identical to
-/// [`run_full_flow_cached`], and the deterministic lane is bit-identical
-/// across worker counts.
-///
-/// # Errors
-///
-/// Propagates kernel errors from the simulations.
-pub fn run_full_flow_cached_journaled(
-    workload: &Workload,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-    journal: &telemetry::Journal,
-) -> Result<FlowReport, SimError> {
-    run_full_flow_cached_impl(workload, instrument, mode, cache, Some(journal))
-}
-
-fn run_full_flow_cached_impl(
-    workload: &Workload,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-    journal: Option<&telemetry::Journal>,
-) -> Result<FlowReport, SimError> {
+    let instrument = &ctx.instrument;
     let mut phases: Vec<PhaseSummary> = Vec::new();
+    let mut outcomes: Vec<ObligationOutcome> = Vec::new();
     let note_phase = |phases: &mut Vec<PhaseSummary>, summary: PhaseSummary| {
         let idx = phases.len() as u64;
         instrument.span("flow", summary.phase, idx, idx + 1);
         instrument.gauge_set("flow.phase_ok", idx, i64::from(summary.ok));
-        if let Some(j) = journal {
+        if let Some(j) = ctx.journal {
             j.emit(telemetry::EventKind::Phase {
                 index: idx,
                 name: summary.phase.to_owned(),
@@ -325,24 +329,25 @@ fn run_full_flow_cached_impl(
     );
 
     // ── Level 1 verification: LPV deadlock freeness ────────────────────
-    let net = cascade::fig2_petri_net(1);
-    let liveness = lp::check_liveness(&net);
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 1: LPV deadlock freeness",
-            ok: liveness.is_live(),
-            detail: match &liveness {
+    let (phase, outcome) = flow_obligation(
+        ctx,
+        "level 1: LPV deadlock freeness",
+        ("lpv:liveness", "lpv"),
+        || lp::check_liveness(&cascade::fig2_petri_net(1)),
+        |liveness| {
+            let detail = match liveness {
                 LivenessVerdict::Live { min_cycle_tokens } => {
                     format!("live; min cycle tokens {min_cycle_tokens}")
                 }
                 other => format!("{other:?}"),
-            },
+            };
+            (liveness.is_live(), detail)
         },
     );
+    note_phase(&mut phases, phase);
+    outcomes.push(outcome);
 
     // ── Level 2: architecture mapping ──────────────────────────────────
-    let arch = ArchConfig::default();
     let l2 = level2::run_instrumented(workload, instrument)?;
     let l2_matches_l1 = l1.trace.matches_untimed(&l2.trace).is_ok();
     note_phase(
@@ -359,434 +364,34 @@ fn run_full_flow_cached_impl(
     );
 
     // ── Level 2 verification: deadline LP ──────────────────────────────
-    let bounds =
-        level2::dimension_channels_mode(workload, &crate::Partition::paper_level2(), &arch, mode);
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 2: LPV FIFO dimensioning",
-            ok: bounds.iter().all(|(_, b)| b.capacity >= 1),
-            detail: bounds
-                .iter()
-                .map(|(n, b)| format!("{n}: {} tokens", b.capacity))
-                .collect::<Vec<_>>()
-                .join(", "),
+    let (phase, outcome) = flow_obligation(
+        ctx,
+        "level 2: LPV FIFO dimensioning",
+        ("lpv:dimensioning", "lpv"),
+        || {
+            level2::dimension_channels_mode(
+                workload,
+                &crate::Partition::paper_level2(),
+                arch,
+                ctx.mode,
+            )
         },
-    );
-
-    // ── Level 3: reconfigurable platform ───────────────────────────────
-    let l3 = level3::run_instrumented(workload, instrument)?;
-    let l3_matches_l2 = l2.trace.matches_untimed(&l3.trace).is_ok();
-    let fpga = l3.fpga.clone().expect("level 3 has an FPGA");
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 3: reconfigurable platform",
-            ok: l3.matches_reference && l3_matches_l2,
-            detail: format!(
-            "{:.0} ticks/frame; {} reconfigs, {} bitstream words; trace ≡ level 2: {l3_matches_l2}",
-            l3.ticks_per_frame, fpga.reconfigurations, fpga.download_words
-        ),
-        },
-    );
-    if let Some(j) = journal {
-        j.emit(telemetry::EventKind::FpgaReconfig {
-            reconfigurations: fpga.reconfigurations,
-            download_words: fpga.download_words,
-        });
-    }
-
-    // ── Level 3 verification: SymbC ────────────────────────────────────
-    let (sw, map) = cascade::instrumented_sw(true);
-    let symbc_verdict = symbc::check(&sw, &map);
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 3: SymbC consistency",
-            ok: symbc_verdict.is_consistent(),
-            detail: format!("{symbc_verdict:?}"),
-        },
-    );
-
-    // ── Level 4: RTL + formal ──────────────────────────────────────────
-    let l4 = level4::run_cached(mode, instrument, cache);
-    let kernels_ok = l4.kernels.iter().all(|(_, _, eq)| *eq);
-    let props_ok = l4.properties.iter().all(|(_, _, p)| *p);
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 4: RTL, model checking, PCC",
-            ok: kernels_ok && props_ok && l4.pcc_extended.pct() > l4.pcc_initial.pct(),
-            detail: format!(
-                "kernels equivalent: {kernels_ok}; {} properties proven; PCC {:.0}% → {:.0}%",
-                l4.properties.len(),
-                l4.pcc_initial.pct(),
-                l4.pcc_extended.pct()
-            ),
-        },
-    );
-
-    let metrics = FlowMetrics {
-        frames: workload.probes.len() as u64,
-        l2_total_ticks: l2.total_ticks,
-        l2_ticks_per_frame: l2.ticks_per_frame,
-        l3_total_ticks: l3.total_ticks,
-        l3_ticks_per_frame: l3.ticks_per_frame,
-        l3_bus_utilization: l3.bus.utilization,
-        fpga_reconfigurations: fpga.reconfigurations,
-        fpga_download_words: fpga.download_words,
-    };
-    Ok(FlowReport {
-        phases,
-        recognized: l1.recognized,
-        metrics,
-        degradation: None,
-    })
-}
-
-/// [`run_full_flow_cached`] under a [`SupervisionPolicy`]: the
-/// verification obligations of the flow — LPV liveness, LPV FIFO
-/// dimensioning, SymbC, and every level-4 obligation — run panic-isolated
-/// and effort-budgeted, and the report carries the
-/// [`DegradationSummary`] taxonomy in `degradation` (rendered as a
-/// `degradation` section by [`FlowReport::to_report`]).
-///
-/// The levels 1–3 *simulations* are not supervised: they are the flow's
-/// subject, propagate their own typed [`SimError`]s, and a corrupted
-/// simulation invalidates everything downstream anyway.
-///
-/// Degradation is graceful and deterministic: a panicked obligation is
-/// retried once (when the policy says so) and then recorded as
-/// `Panicked` with its exact panic message; a budget-exhausted
-/// model-checking obligation is cross-checked by deterministic
-/// simulation and recorded as `Refuted` (witness found) or `Unknown`;
-/// phases over degraded obligations report `ok: false` with the
-/// degradation spelled out in their detail line. The partial report is
-/// bit-identical across worker counts.
-///
-/// # Errors
-///
-/// Propagates kernel errors from the simulations (supervision does not
-/// mask them).
-pub fn run_full_flow_supervised(
-    workload: &Workload,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-    policy: &SupervisionPolicy,
-) -> Result<FlowReport, SimError> {
-    run_full_flow_supervised_impl(
-        workload,
-        instrument,
-        mode,
-        cache,
-        policy,
-        None,
-        &ArchConfig::default(),
-        None,
-    )
-}
-
-/// [`run_full_flow_supervised`] with a flight recorder: phases, the FPGA
-/// reconfiguration summary, and the complete lifecycle of every
-/// supervised obligation — start, cache probes, per-axis budget spend,
-/// panics/retries, provenance-carrying finishes with effort attribution,
-/// degradations — stream onto the journal's deterministic lane in
-/// obligation order; wall latencies and worker/queue attribution go to
-/// its timing lane.
-///
-/// Instrumentation never perturbs results: the report is bit-identical to
-/// [`run_full_flow_supervised`], and the deterministic lane is
-/// bit-identical across worker counts (the PR-2 invariant extended to the
-/// journal).
-///
-/// # Errors
-///
-/// Propagates kernel errors from the simulations.
-pub fn run_full_flow_supervised_journaled(
-    workload: &Workload,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-    policy: &SupervisionPolicy,
-    journal: &telemetry::Journal,
-) -> Result<FlowReport, SimError> {
-    run_full_flow_supervised_impl(
-        workload,
-        instrument,
-        mode,
-        cache,
-        policy,
-        Some(journal),
-        &ArchConfig::default(),
-        None,
-    )
-}
-
-/// Runs the complete supervised flow a [`JobSpec`] describes: the spec's
-/// design becomes the workload, its platform variant drives the level-3
-/// architecture and the level-2 FIFO dimensioning, its fault campaign
-/// (if any) is injected into the level-3 simulation under the default
-/// [`RecoveryPolicy`], and its supervision policy budgets the
-/// verification obligations. With `JobSpec::default()` this is exactly
-/// [`run_full_flow_supervised`] on [`Workload::small`] — same phases,
-/// same verdicts, bit-identical JSON (pinned by
-/// `tests/service_equivalence.rs`).
-///
-/// This is the batch service's per-job entry point, but it is an
-/// ordinary library call: no queue, no tenancy, usable directly.
-///
-/// # Errors
-///
-/// Propagates kernel errors from the simulations.
-pub fn run_full_flow_job(
-    spec: &JobSpec,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-) -> Result<FlowReport, SimError> {
-    run_full_flow_supervised_impl(
-        &spec.design.workload(),
-        instrument,
-        mode,
-        cache,
-        &spec.policy,
-        None,
-        &spec.platform.arch(),
-        spec.faults.map(|f| f.plan()),
-    )
-}
-
-/// [`run_full_flow_job`] with a flight recorder — the journal contract of
-/// [`run_full_flow_supervised_journaled`], driven by a [`JobSpec`].
-///
-/// # Errors
-///
-/// Propagates kernel errors from the simulations.
-pub fn run_full_flow_job_journaled(
-    spec: &JobSpec,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-    journal: &telemetry::Journal,
-) -> Result<FlowReport, SimError> {
-    run_full_flow_supervised_impl(
-        &spec.design.workload(),
-        instrument,
-        mode,
-        cache,
-        &spec.policy,
-        Some(journal),
-        &spec.platform.arch(),
-        spec.faults.map(|f| f.plan()),
-    )
-}
-
-#[allow(clippy::too_many_arguments)] // private plumbing behind 4 focused entry points
-fn run_full_flow_supervised_impl(
-    workload: &Workload,
-    instrument: &telemetry::SharedInstrument,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-    policy: &SupervisionPolicy,
-    journal: Option<&telemetry::Journal>,
-    arch: &ArchConfig,
-    faults: Option<FaultPlan>,
-) -> Result<FlowReport, SimError> {
-    use ObligationStatus::{Panicked, Proved, Refuted};
-
-    let retry = policy.retry_panicked;
-    let enabled = instrument.enabled();
-    let mut phases: Vec<PhaseSummary> = Vec::new();
-    let mut outcomes: Vec<ObligationOutcome> = Vec::new();
-    let note_phase = |phases: &mut Vec<PhaseSummary>, summary: PhaseSummary| {
-        let idx = phases.len() as u64;
-        instrument.span("flow", summary.phase, idx, idx + 1);
-        instrument.gauge_set("flow.phase_ok", idx, i64::from(summary.ok));
-        if let Some(j) = journal {
-            j.emit(telemetry::EventKind::Phase {
-                index: idx,
-                name: summary.phase.to_owned(),
-                ok: summary.ok,
-            });
-        }
-        phases.push(summary);
-    };
-    // The flow-level obligations run sequentially on this thread, so
-    // recording straight into the shared instrument keeps the stream
-    // deterministic.
-    let note_panics = |caught: u64| {
-        if enabled && caught > 0 {
-            instrument.counter_add("exec.panics_caught", caught);
-        }
-    };
-    // The three flow-level obligations (LPV liveness, LPV dimensioning,
-    // SymbC) are panic-supervised but not effort-budgeted and carry no
-    // private collector, so their journal records attribute zero effort.
-    let note_started = |name: &str, engine: &str| {
-        if let Some(j) = journal {
-            j.emit(telemetry::EventKind::ObligationStarted {
-                obligation: name.to_owned(),
-                engine: engine.to_owned(),
-            });
-        }
-    };
-    let note_obligation = |name: &str,
-                           engine: &str,
-                           sup_panic: Option<&str>,
-                           sup_retried: bool,
-                           sup_wall_us: u64,
-                           status: ObligationStatus,
-                           detail: &str| {
-        if let Some(j) = journal {
-            supervise::journal_obligation(
-                j,
-                name,
-                engine,
-                sup_panic,
-                sup_retried,
-                sup_wall_us,
-                &telemetry::EffortSpent::default(),
-                None,
-                status,
-                detail,
-            );
-        }
-    };
-
-    // ── Level 1: functional model vs reference ────────────────────────
-    let l1 = level1::run_instrumented(workload, instrument)?;
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 1: functional model",
-            ok: l1.matches_reference && l1.outcome.is_quiescent(),
-            detail: format!(
-                "trace vs C reference: {}; clean completion: {}",
-                l1.matches_reference,
-                l1.outcome.is_quiescent()
-            ),
-        },
-    );
-
-    // ── Level 1 verification: LPV deadlock freeness (supervised) ──────
-    note_started("lpv:liveness", "lpv");
-    let sup = supervise::run_supervised_job(retry, || {
-        let net = cascade::fig2_petri_net(1);
-        lp::check_liveness(&net)
-    });
-    note_panics(sup.panics_caught());
-    let (ok, detail, status, odetail) = match &sup.value {
-        Some(liveness) => {
-            let detail = match liveness {
-                LivenessVerdict::Live { min_cycle_tokens } => {
-                    format!("live; min cycle tokens {min_cycle_tokens}")
-                }
-                other => format!("{other:?}"),
-            };
-            let ok = liveness.is_live();
-            let status = if ok { Proved } else { Refuted };
-            (ok, detail.clone(), status, detail)
-        }
-        None => {
-            let msg = sup.panic.as_deref().unwrap_or("?");
-            let detail = format!("panicked: {msg}");
-            (false, detail.clone(), Panicked, detail)
-        }
-    };
-    note_obligation(
-        "lpv:liveness",
-        "lpv",
-        sup.panic.as_deref(),
-        sup.retried,
-        sup.wall_us,
-        status,
-        &odetail,
-    );
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 1: LPV deadlock freeness",
-            ok,
-            detail,
-        },
-    );
-    outcomes.push(ObligationOutcome {
-        name: "lpv:liveness".to_owned(),
-        status,
-        detail: odetail,
-        retried: sup.retried,
-    });
-
-    // ── Level 2: architecture mapping ──────────────────────────────────
-    let l2 = level2::run_instrumented(workload, instrument)?;
-    let l2_matches_l1 = l1.trace.matches_untimed(&l2.trace).is_ok();
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 2: timed TL mapping",
-            ok: l2.matches_reference && l2_matches_l1,
-            detail: format!(
-                "{:.0} ticks/frame; bus {:.1}%; trace ≡ level 1: {l2_matches_l1}",
-                l2.ticks_per_frame,
-                l2.bus.utilization * 100.0
-            ),
-        },
-    );
-
-    // ── Level 2 verification: deadline LP (supervised) ─────────────────
-    note_started("lpv:dimensioning", "lpv");
-    let sup = supervise::run_supervised_job(retry, || {
-        level2::dimension_channels_mode(workload, &crate::Partition::paper_level2(), arch, mode)
-    });
-    note_panics(sup.panics_caught());
-    let (ok, detail, status, odetail) = match &sup.value {
-        Some(bounds) => {
-            let ok = bounds.iter().all(|(_, b)| b.capacity >= 1);
+        |bounds| {
             let detail = bounds
                 .iter()
                 .map(|(n, b)| format!("{n}: {} tokens", b.capacity))
                 .collect::<Vec<_>>()
                 .join(", ");
-            let status = if ok { Proved } else { Refuted };
-            (ok, detail.clone(), status, detail)
-        }
-        None => {
-            let msg = sup.panic.as_deref().unwrap_or("?");
-            let detail = format!("panicked: {msg}");
-            (false, detail.clone(), Panicked, detail)
-        }
-    };
-    note_obligation(
-        "lpv:dimensioning",
-        "lpv",
-        sup.panic.as_deref(),
-        sup.retried,
-        sup.wall_us,
-        status,
-        &odetail,
-    );
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 2: LPV FIFO dimensioning",
-            ok,
-            detail,
+            (bounds.iter().all(|(_, b)| b.capacity >= 1), detail)
         },
     );
-    outcomes.push(ObligationOutcome {
-        name: "lpv:dimensioning".to_owned(),
-        status,
-        detail: odetail,
-        retried: sup.retried,
-    });
+    note_phase(&mut phases, phase);
+    outcomes.push(outcome);
 
     // ── Level 3: reconfigurable platform ───────────────────────────────
-    // Unlike the unsupervised flow this honors the caller's platform
-    // variant and fault campaign. The job surface only exposes fault
-    // kinds the default recovery policy always absorbs (retry or
-    // degrade-to-software), so a platform error here is a contract
-    // violation, not a reachable outcome.
+    // The job surface only exposes fault kinds the default recovery
+    // policy always absorbs (retry or degrade-to-software), so a platform
+    // error here is a contract violation, not a reachable outcome.
     let l3 = timed::run_faulted_instrumented(
         workload,
         &crate::Partition::paper_level3(),
@@ -816,60 +421,29 @@ fn run_full_flow_supervised_impl(
         ),
         },
     );
-    if let Some(j) = journal {
+    if let Some(j) = ctx.journal {
         j.emit(telemetry::EventKind::FpgaReconfig {
             reconfigurations: fpga.reconfigurations,
             download_words: fpga.download_words,
         });
     }
 
-    // ── Level 3 verification: SymbC (supervised) ───────────────────────
-    note_started("symbc:consistency", "symbc");
-    let sup = supervise::run_supervised_job(retry, || {
-        let (sw, map) = cascade::instrumented_sw(true);
-        symbc::check(&sw, &map)
-    });
-    note_panics(sup.panics_caught());
-    let (ok, detail, status, odetail) = match &sup.value {
-        Some(verdict) => {
-            let ok = verdict.is_consistent();
-            let detail = format!("{verdict:?}");
-            let status = if ok { Proved } else { Refuted };
-            (ok, detail.clone(), status, detail)
-        }
-        None => {
-            let msg = sup.panic.as_deref().unwrap_or("?");
-            let detail = format!("panicked: {msg}");
-            (false, detail.clone(), Panicked, detail)
-        }
-    };
-    note_obligation(
-        "symbc:consistency",
-        "symbc",
-        sup.panic.as_deref(),
-        sup.retried,
-        sup.wall_us,
-        status,
-        &odetail,
-    );
-    note_phase(
-        &mut phases,
-        PhaseSummary {
-            phase: "level 3: SymbC consistency",
-            ok,
-            detail,
+    // ── Level 3 verification: SymbC ────────────────────────────────────
+    let (phase, outcome) = flow_obligation(
+        ctx,
+        "level 3: SymbC consistency",
+        ("symbc:consistency", "symbc"),
+        || {
+            let (sw, map) = cascade::instrumented_sw(true);
+            symbc::check(&sw, &map)
         },
+        |verdict| (verdict.is_consistent(), format!("{verdict:?}")),
     );
-    outcomes.push(ObligationOutcome {
-        name: "symbc:consistency".to_owned(),
-        status,
-        detail: odetail,
-        retried: sup.retried,
-    });
+    note_phase(&mut phases, phase);
+    outcomes.push(outcome);
 
-    // ── Level 4: RTL + formal, fully supervised ────────────────────────
-    let (l4, l4_outcomes) =
-        level4::run_supervised_journaled(mode, instrument, cache, policy, journal);
+    // ── Level 4: RTL + formal ──────────────────────────────────────────
+    let (l4, l4_outcomes) = level4::run(ctx);
     outcomes.extend(l4_outcomes);
     let kernels_ok = l4.kernels.iter().all(|(_, _, eq)| *eq);
     let props_ok = l4.properties.iter().all(|(_, _, p)| *p);
@@ -888,7 +462,7 @@ fn run_full_flow_supervised_impl(
     );
 
     let degradation = DegradationSummary::from_outcomes(&outcomes);
-    if enabled {
+    if instrument.enabled() {
         if !degradation.degraded.is_empty() {
             instrument.counter_add(
                 "flow.degraded_obligations",
@@ -916,6 +490,70 @@ fn run_full_flow_supervised_impl(
         metrics,
         degradation: Some(degradation),
     })
+}
+
+/// Runs one flow-level obligation (LPV liveness, LPV dimensioning, SymbC)
+/// panic-supervised on the calling thread, so its records land in the
+/// shared instrument and the journal in flow order. `judge` turns the
+/// verdict into the phase's pass flag and evidence line; a panic on every
+/// allowed attempt fails the phase with the panic message. These
+/// obligations are not effort-budgeted and carry no private collector,
+/// so their journal records attribute zero effort.
+fn flow_obligation<R>(
+    ctx: &RunCtx,
+    phase: &'static str,
+    (name, engine): (&str, &str),
+    check: impl Fn() -> R,
+    judge: impl FnOnce(&R) -> (bool, String),
+) -> (PhaseSummary, ObligationOutcome) {
+    if let Some(j) = ctx.journal {
+        j.emit(telemetry::EventKind::ObligationStarted {
+            obligation: name.to_owned(),
+            engine: engine.to_owned(),
+        });
+    }
+    let sup = supervise::run_supervised_job(ctx.policy.retry_panicked, check);
+    let caught = sup.panics_caught();
+    if caught > 0 && ctx.instrument.enabled() {
+        ctx.instrument.counter_add("exec.panics_caught", caught);
+    }
+    let (ok, detail, status) = match &sup.value {
+        Some(verdict) => {
+            let (ok, detail) = judge(verdict);
+            (ok, detail, if ok { Proved } else { Refuted })
+        }
+        None => {
+            let msg = sup.panic.as_deref().unwrap_or("?");
+            (false, format!("panicked: {msg}"), Panicked)
+        }
+    };
+    if let Some(j) = ctx.journal {
+        supervise::journal_obligation(
+            j,
+            name,
+            engine,
+            sup.panic.as_deref(),
+            sup.retried,
+            sup.wall_us,
+            &telemetry::EffortSpent::default(),
+            None,
+            status,
+            &detail,
+        );
+    }
+    (
+        PhaseSummary {
+            phase,
+            ok,
+            detail: detail.clone(),
+        },
+        ObligationOutcome {
+            name: name.to_owned(),
+            status,
+            detail,
+            retried: sup.retried,
+        },
+    )
 }
 
 #[cfg(test)]

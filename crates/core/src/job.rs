@@ -149,8 +149,8 @@ impl PlatformSpec {
 ///
 /// `JobSpec::default()` is the canonical single-tenant job — running it
 /// through the service is bit-identical to calling
-/// [`crate::flow::run_full_flow_supervised`] on [`Workload::small`] with
-/// the default policy (pinned by `tests/service_equivalence.rs`).
+/// [`crate::flow::run`] on [`Workload::small`] with the default platform
+/// and policy (pinned by `tests/service_equivalence.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobSpec {
     /// The design to push through the flow.

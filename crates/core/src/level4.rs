@@ -15,7 +15,7 @@
 //!    paper's refinement loop: the initial property set leaves faults
 //!    uncovered; the extended set closes the gap.
 
-use crate::supervise::{self, ObligationOutcome, ObligationStatus, SupervisionPolicy};
+use crate::supervise::{self, ObligationOutcome, ObligationStatus, RunCtx};
 use behav::unroll::unroll;
 use behav::Function;
 use hdl::fsm::bus_wrapper_fsm;
@@ -44,32 +44,37 @@ pub struct Level4Report {
 ///
 /// Returns `true` when no distinguishing input exists.
 pub fn prove_equivalence(func: &Function, rtl: &Rtl) -> bool {
-    prove_equivalence_instrumented(func, rtl, &telemetry::noop())
+    prove_equivalence_budgeted(
+        func,
+        rtl,
+        &exec::Effort::unbounded(),
+        &telemetry::noop(),
+        cache::noop(),
+    )
+    .expect("an unbounded effort always decides")
 }
 
-/// [`prove_equivalence`] with telemetry: the miter's SAT solver reports
-/// its decision/conflict/propagation counters through `instrument`.
-pub fn prove_equivalence_instrumented(
+/// The miter obligation: builds the RTL-vs-resynthesized-source miter,
+/// consults `cache` (engine tag `"level4.miter"`; the fingerprint covers
+/// the full miter CNF, the shared input literal layout, and the "any
+/// output bit differs" root), and solves on one canonical solver whose
+/// SAT statistics report through `instrument`.
+///
+/// Returns `Some(equivalent)` on a verdict and `None` when `effort` ran
+/// out first. Under an effort that bounds SAT the query runs through
+/// [`sat::Solver::solve_budgeted`], so the exhaustion point is a pure
+/// function of the CNF and the budget, independent of worker count.
+/// Without a SAT bound the solve is warm-started from the cache's lemma
+/// pool and feeds its own short learnts back. Verdicts are cached under
+/// the same fingerprint either way; exhaustion is never cached, because a
+/// larger budget may still decide the query.
+fn prove_equivalence_budgeted(
     func: &Function,
     rtl: &Rtl,
-    instrument: &telemetry::SharedInstrument,
-) -> bool {
-    prove_equivalence_cached(func, rtl, instrument, cache::noop())
-}
-
-/// [`prove_equivalence_instrumented`] backed by the obligation cache
-/// (engine tag `"level4.miter"`): the fingerprint covers the full miter
-/// CNF, the shared input literal layout, and the "any output bit differs"
-/// root, so a hit returns the stored equivalence verdict without solving.
-/// The same fingerprint recipe is used by
-/// [`prove_equivalence_portfolio_cached`], so portfolio winners populate
-/// entries this path can replay (and vice versa).
-pub fn prove_equivalence_cached(
-    func: &Function,
-    rtl: &Rtl,
+    effort: &exec::Effort,
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
-) -> bool {
+) -> Option<bool> {
     let mut ctx = CnfBackend::new();
     if instrument.enabled() {
         ctx.builder_mut().set_instrument(instrument.clone());
@@ -80,7 +85,7 @@ pub fn prove_equivalence_cached(
         if let Some(payload) = cache.lookup_tagged("level4.miter", fp) {
             if let Some(equivalent) = cache::decode_bool(&payload) {
                 instrument.counter_add("cache.hits", 1);
-                return equivalent;
+                return Some(equivalent);
             }
         }
         instrument.counter_add("cache.misses", 1);
@@ -90,27 +95,56 @@ pub fn prove_equivalence_cached(
     };
     let builder = ctx.builder_mut();
     builder.assert_lit(any);
-    // Lemma-pool warm start: seed clauses learnt by an earlier solve of a
-    // fingerprint-identical miter (same canonical CNF, same asserted
-    // root), then collect this solve's own short learnts back into the
-    // pool. Seeds are entailed by the exporter's CNF — byte-identical to
-    // ours — so they can shrink the search, never flip the verdict.
-    if let Some(fp) = fp {
-        seed_from_pool(builder.solver_mut(), cache.lemmas(), fp, instrument);
-        builder.solver_mut().set_share(sat::SolverShare::collector(
-            sat::ShareFilter::default(),
-            cache::pool::MAX_CLAUSES_PER_ENTRY,
-        ));
-    }
-    let equivalent = builder.solve().is_unsat();
-    if let Some(fp) = fp {
-        if let Some(share) = builder.solver_mut().take_share() {
-            cache.lemmas().insert(fp, &share.into_pool_exports());
+    let equivalent = if effort.bounds_sat() {
+        match builder.solve_budgeted(&[], effort).decided() {
+            Some(result) => result.is_unsat(),
+            // Budget exhausted: cube-and-conquer fallback. Split on the
+            // probe solver's top-activity variables and re-solve each
+            // cube under the same per-cube budget; cubes run sequentially
+            // so the exhaustion point stays a pure function of CNF and
+            // budget. No lemma-pool seeding here — a warm pool could move
+            // the exhaustion point and flip Exhausted <-> Decided across
+            // runs.
+            None => {
+                instrument.counter_add("sat.cube_splits", 1);
+                let split = builder.solver().top_activity_vars(CUBE_SPLIT_VARS);
+                let cnf = builder.solver().export_cnf();
+                let report = sat::cube::conquer(&cnf, &split, effort, exec::ExecMode::Sequential);
+                report.verdict?.is_unsat()
+            }
         }
+    } else {
+        // Lemma-pool warm start: seed clauses learnt by an earlier solve
+        // of a fingerprint-identical miter (same canonical CNF, same
+        // asserted root), then collect this solve's own short learnts
+        // back into the pool. Seeds are entailed by the exporter's CNF —
+        // byte-identical to ours — so they can shrink the search, never
+        // flip the verdict.
+        if let Some(fp) = fp {
+            seed_from_pool(builder.solver_mut(), cache.lemmas(), fp, instrument);
+            builder.solver_mut().set_share(sat::SolverShare::collector(
+                sat::ShareFilter::default(),
+                cache::pool::MAX_CLAUSES_PER_ENTRY,
+            ));
+        }
+        let equivalent = builder.solve().is_unsat();
+        if let Some(fp) = fp {
+            if let Some(share) = builder.solver_mut().take_share() {
+                cache.lemmas().insert(fp, &share.into_pool_exports());
+            }
+        }
+        equivalent
+    };
+    if let Some(fp) = fp {
         cache.insert_tagged("level4.miter", fp, cache::encode_bool(equivalent));
     }
-    equivalent
+    Some(equivalent)
 }
+
+/// Number of top-activity variables the budgeted miter splits on when
+/// its direct solve exhausts (2^k cubes; 3 → 8 cubes, enough to break
+/// symmetric hard instances without exploding the sequential sweep).
+const CUBE_SPLIT_VARS: usize = 3;
 
 /// Imports the lemma-pool entry for `fp` (if any) into `solver` at
 /// decision level 0, reporting pool telemetry. Returns early on a
@@ -139,64 +173,6 @@ fn seed_from_pool(
     }
     instrument.counter_add("sat.pool_imports", imported);
     instrument.counter_add("sat.pool_rejects", rejected);
-}
-
-/// [`prove_equivalence`] with the miter solved by a SAT portfolio: the
-/// CNF is built once (deterministically), exported, and raced across
-/// divergent solver configurations. The UNSAT/SAT verdict is objective,
-/// so the result is bit-identical to the single-solver path; the
-/// portfolio contestants are uninstrumented (the winner is
-/// wall-clock-dependent, so their counters are diagnostic-only and are
-/// not merged).
-pub fn prove_equivalence_portfolio(func: &Function, rtl: &Rtl, mode: exec::ExecMode) -> bool {
-    prove_equivalence_portfolio_cached(func, rtl, mode, cache::noop())
-}
-
-/// [`prove_equivalence_portfolio`] backed by the obligation cache. Shares
-/// its fingerprint recipe with [`prove_equivalence_cached`] — the two
-/// entry points fill and drain the same cache entries, so a sequential
-/// warm run replays a verdict a portfolio race decided (the verdict is
-/// objective, so the replay is exact).
-pub fn prove_equivalence_portfolio_cached(
-    func: &Function,
-    rtl: &Rtl,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-) -> bool {
-    let mut ctx = CnfBackend::new();
-    let (input_bits, any) = build_miter(func, rtl, &mut ctx);
-    let fp = if cache.is_enabled() {
-        let fp = miter_fingerprint(&mut ctx, &input_bits, any);
-        if let Some(payload) = cache.lookup_tagged("level4.miter", fp) {
-            if let Some(equivalent) = cache::decode_bool(&payload) {
-                return equivalent;
-            }
-        }
-        Some(fp)
-    } else {
-        None
-    };
-    ctx.builder_mut().assert_lit(any);
-    let cnf = ctx.builder_mut().solver().export_cnf();
-    let equivalent = match fp {
-        // Cached path: cooperative portfolio — contestants exchange
-        // learnt clauses in flight and are seeded from (then feed) the
-        // cross-obligation lemma pool. The verdict is objective, so
-        // sharing changes effort only; the uncached path below keeps the
-        // plain racing portfolio byte-identical to the pre-pool code.
-        Some(fp) => {
-            let pool = cache.lemmas();
-            let seeds = pool.lookup(fp);
-            let coop =
-                sat::solve_portfolio_cooperative(&cnf, mode, &sat::ShareConfig::default(), &seeds);
-            pool.insert(fp, &coop.pool_exports);
-            let equivalent = coop.outcome.result.is_unsat();
-            cache.insert_tagged("level4.miter", fp, cache::encode_bool(equivalent));
-            equivalent
-        }
-        None => sat::solve_portfolio(&cnf, mode).result.is_unsat(),
-    };
-    equivalent
 }
 
 /// Content-addresses a built (un-asserted) miter: input literal layout,
@@ -330,323 +306,6 @@ fn provable_on_open_model(p: &Property) -> bool {
     p.name() != "req_eventually_done"
 }
 
-/// Runs the complete level-4 phase.
-///
-/// ```
-/// let report = symbad_core::level4::run();
-/// // Both FPGA kernels synthesize to RTL and prove equivalent to their
-/// // behavioural source; extending the property set lifts PCC coverage.
-/// assert!(report.kernels.iter().all(|&(_, _, equivalent)| equivalent));
-/// assert!(report.pcc_extended.covered >= report.pcc_initial.covered);
-/// ```
-///
-/// # Panics
-///
-/// Panics if a kernel unexpectedly fails to synthesize (a programming
-/// error, not an input condition).
-pub fn run() -> Level4Report {
-    run_instrumented(&telemetry::noop())
-}
-
-/// [`run`] with telemetry: the equivalence miters and BMC runs report
-/// their SAT statistics, depth progress, and verdict counters through
-/// `instrument`.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_instrumented(instrument: &telemetry::SharedInstrument) -> Level4Report {
-    run_sequential_cached(instrument, cache::noop())
-}
-
-/// The sequential level-4 body, parameterized by the obligation cache
-/// ([`cache::noop()`] reproduces [`run_instrumented`] byte for byte).
-fn run_sequential_cached(
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Level4Report {
-    // 1–2: synthesize the kernels and prove equivalence.
-    let mut kernels = Vec::new();
-    let dist = distance_step_function();
-    let dist_rtl = synthesize(&dist).expect("distance step synthesizes");
-    kernels.push((
-        "distance".to_owned(),
-        dist_rtl.num_nodes(),
-        prove_equivalence_cached(&dist, &dist_rtl, instrument, cache),
-    ));
-    let root = root_function();
-    let root_unrolled = unroll(&root, ROOT_ITERATIONS);
-    let root_rtl = synthesize(&root_unrolled).expect("unrolled root synthesizes");
-    kernels.push((
-        "root".to_owned(),
-        root_rtl.num_nodes(),
-        prove_equivalence_cached(&root_unrolled, &root_rtl, instrument, cache),
-    ));
-
-    // 3–4: wrapper FSM and its properties.
-    let wrapper = bus_wrapper_fsm("bus_wrapper");
-    let mut properties = Vec::new();
-    for p in extended_properties() {
-        if !provable_on_open_model(&p) {
-            continue;
-        }
-        let (engine, proven): (&'static str, bool) = match &p {
-            Property::Invariant { .. } => (
-                "bdd-reach",
-                reach::check_cached(&wrapper, &p, instrument, cache) == Verdict::Proven,
-            ),
-            Property::Response { .. } => (
-                "bmc",
-                matches!(
-                    bmc::check_cached(&wrapper, &p, 12, instrument, cache),
-                    Verdict::NoViolationUpTo(_)
-                ),
-            ),
-        };
-        properties.push((p.name().to_owned(), engine, proven));
-        instrument.counter_add("level4.properties_checked", 1);
-    }
-
-    // 5: PCC before/after the property-set refinement.
-    let cfg = PccConfig { bmc_bound: 10 };
-    let initial: Vec<Property> = initial_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let extended: Vec<Property> = extended_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let pcc_initial =
-        check_coverage_cached(&wrapper, &initial, &cfg, exec::ExecMode::Sequential, cache)
-            .expect("initial set holds");
-    let pcc_extended =
-        check_coverage_cached(&wrapper, &extended, &cfg, exec::ExecMode::Sequential, cache)
-            .expect("extended set holds");
-
-    Level4Report {
-        kernels,
-        properties,
-        pcc_initial,
-        pcc_extended,
-    }
-}
-
-fn provable_on_open_model_ref(p: &Property) -> bool {
-    provable_on_open_model(p)
-}
-
-/// [`run_instrumented`] with the level's obligations dispatched across
-/// worker threads when `mode` is parallel:
-///
-/// * each kernel miter is built deterministically and raced by the SAT
-///   portfolio ([`prove_equivalence_portfolio`]),
-/// * each wrapper property is an independent obligation with its own
-///   private [`telemetry::Collector`], replayed into `instrument` in
-///   property order so the merged telemetry matches the sequential run,
-/// * PCC fault obligations fan out via [`pcc::check_coverage_mode`].
-///
-/// With `ExecMode::Sequential` this is exactly [`run_instrumented`] —
-/// same code path, byte-identical telemetry.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_mode(mode: exec::ExecMode, instrument: &telemetry::SharedInstrument) -> Level4Report {
-    run_cached(mode, instrument, cache::noop())
-}
-
-/// [`run_mode`] backed by the obligation cache: every SAT/BDD obligation
-/// of the level — kernel miters, wrapper properties, PCC kill checks —
-/// is looked up before an engine runs and stored after. With a warm
-/// cache the whole level replays from stored verdicts; the report is
-/// bit-identical to the uncached run either way.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_cached(
-    mode: exec::ExecMode,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Level4Report {
-    if !mode.is_parallel() {
-        return run_sequential_cached(instrument, cache);
-    }
-
-    // 1–2: synthesize the kernels; miters go through the portfolio.
-    let mut kernels = Vec::new();
-    let dist = distance_step_function();
-    let dist_rtl = synthesize(&dist).expect("distance step synthesizes");
-    kernels.push((
-        "distance".to_owned(),
-        dist_rtl.num_nodes(),
-        prove_equivalence_portfolio_cached(&dist, &dist_rtl, mode, cache),
-    ));
-    let root = root_function();
-    let root_unrolled = unroll(&root, ROOT_ITERATIONS);
-    let root_rtl = synthesize(&root_unrolled).expect("unrolled root synthesizes");
-    kernels.push((
-        "root".to_owned(),
-        root_rtl.num_nodes(),
-        prove_equivalence_portfolio_cached(&root_unrolled, &root_rtl, mode, cache),
-    ));
-
-    // 3–4: wrapper properties as independent obligations.
-    let wrapper = bus_wrapper_fsm("bus_wrapper");
-    let props: Vec<Property> = extended_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let jobs: Vec<usize> = (0..props.len()).collect();
-    let checked = exec::map(mode, jobs, |_, pi| {
-        let p = &props[pi];
-        let local = std::rc::Rc::new(telemetry::Collector::new());
-        let shared: telemetry::SharedInstrument = local.clone();
-        let (engine, proven): (&'static str, bool) = match p {
-            Property::Invariant { .. } => (
-                "bdd-reach",
-                reach::check_cached(&wrapper, p, &shared, cache) == Verdict::Proven,
-            ),
-            Property::Response { .. } => (
-                "bmc",
-                matches!(
-                    bmc::check_cached(&wrapper, p, 12, &shared, cache),
-                    Verdict::NoViolationUpTo(_)
-                ),
-            ),
-        };
-        shared.counter_add("level4.properties_checked", 1);
-        drop(shared);
-        let collector =
-            std::rc::Rc::try_unwrap(local).expect("obligation dropped every instrument handle");
-        (p.name().to_owned(), engine, proven, collector)
-    });
-    let mut properties = Vec::new();
-    for (name, engine, proven, collector) in checked {
-        collector.replay_into(instrument.as_ref());
-        properties.push((name, engine, proven));
-    }
-
-    // 5: PCC before/after the refinement, fault obligations in parallel.
-    let cfg = PccConfig { bmc_bound: 10 };
-    let initial: Vec<Property> = initial_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let pcc_initial =
-        check_coverage_cached(&wrapper, &initial, &cfg, mode, cache).expect("initial set holds");
-    let pcc_extended =
-        check_coverage_cached(&wrapper, &props, &cfg, mode, cache).expect("extended set holds");
-
-    Level4Report {
-        kernels,
-        properties,
-        pcc_initial,
-        pcc_extended,
-    }
-}
-
-/// [`prove_equivalence_cached`] under a deterministic effort budget: the
-/// miter query runs through [`sat::Solver::solve_budgeted`] on the single
-/// canonical solver — never the portfolio, whose winner is wall-clock
-/// dependent — so the exhaustion point is a pure function of the CNF and
-/// the budget, independent of worker count.
-///
-/// Returns `Some(equivalent)` on a verdict and `None` when the budget ran
-/// out first. Verdicts are cached under the standard miter fingerprint
-/// (shared with the unbudgeted entry points); exhaustion is never cached,
-/// because a larger budget may still decide the query.
-pub fn prove_equivalence_budgeted(
-    func: &Function,
-    rtl: &Rtl,
-    effort: &exec::Effort,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Option<bool> {
-    if !effort.bounds_sat() {
-        return Some(prove_equivalence_cached(func, rtl, instrument, cache));
-    }
-    let mut ctx = CnfBackend::new();
-    if instrument.enabled() {
-        ctx.builder_mut().set_instrument(instrument.clone());
-    }
-    let (input_bits, any) = build_miter(func, rtl, &mut ctx);
-    let fp = if cache.is_enabled() {
-        let fp = miter_fingerprint(&mut ctx, &input_bits, any);
-        if let Some(payload) = cache.lookup_tagged("level4.miter", fp) {
-            if let Some(equivalent) = cache::decode_bool(&payload) {
-                instrument.counter_add("cache.hits", 1);
-                return Some(equivalent);
-            }
-        }
-        instrument.counter_add("cache.misses", 1);
-        Some(fp)
-    } else {
-        None
-    };
-    let builder = ctx.builder_mut();
-    builder.assert_lit(any);
-    let equivalent = match builder.solve_budgeted(&[], effort).decided() {
-        Some(result) => result.is_unsat(),
-        // Budget exhausted: cube-and-conquer fallback. Split on the
-        // probe solver's top-activity variables and re-solve each cube
-        // under the same per-cube budget; cubes run sequentially so the
-        // exhaustion point stays a pure function of CNF and budget. No
-        // lemma-pool seeding here — a warm pool could move the
-        // exhaustion point and flip Exhausted <-> Decided across runs.
-        None => {
-            instrument.counter_add("sat.cube_splits", 1);
-            let split = builder.solver().top_activity_vars(CUBE_SPLIT_VARS);
-            let cnf = builder.solver().export_cnf();
-            let report = sat::cube::conquer(&cnf, &split, effort, exec::ExecMode::Sequential);
-            report.verdict?.is_unsat()
-        }
-    };
-    if let Some(fp) = fp {
-        cache.insert_tagged("level4.miter", fp, cache::encode_bool(equivalent));
-    }
-    Some(equivalent)
-}
-
-/// Number of top-activity variables the budgeted miter splits on when
-/// its direct solve exhausts (2^k cubes; 3 → 8 cubes, enough to break
-/// symmetric hard instances without exploding the sequential sweep).
-const CUBE_SPLIT_VARS: usize = 3;
-
-/// [`run_cached`] under a [`SupervisionPolicy`]: every level-4 obligation
-/// — two kernel miters, five wrapper properties, two PCC coverage runs —
-/// is panic-isolated (caught, optionally retried once), effort-budgeted,
-/// and reported in the [`ObligationOutcome`] taxonomy alongside the
-/// (possibly partial) [`Level4Report`].
-///
-/// Degraded entries keep the report well-formed: an undecided or panicked
-/// miter/property is recorded as not-proven, and a failed PCC run falls
-/// back to an empty coverage report. Budget-exhausted model-checking
-/// obligations are routed to the deterministic simulation cross-check
-/// ([`mc::simcheck`]): a witnessed violation upgrades them to *Refuted*.
-///
-/// Determinism: miters use the canonical budgeted solver (no portfolio),
-/// obligations carry private telemetry collectors replayed in obligation
-/// order, and the PCC runs execute sequentially — a panic escaping a
-/// parallel inner PCC sweep would leave worker-count-dependent cache
-/// state behind, so supervised PCC trades parallelism for
-/// reproducibility. The outcome list (and the report) is bit-identical
-/// across worker counts, faults or no faults.
-///
-/// # Panics
-///
-/// Kernel synthesis panics propagate (programming errors, same as
-/// [`run`]); engine panics are supervised.
-pub fn run_supervised(
-    mode: exec::ExecMode,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-    policy: &SupervisionPolicy,
-) -> (Level4Report, Vec<ObligationOutcome>) {
-    run_supervised_journaled(mode, instrument, cache, policy, None)
-}
-
 /// Unwraps one supervised pool slot. The closures dispatched here catch
 /// their own panics ([`supervise::supervised_obligation`]), so the outer
 /// [`exec::JobOutcome`] is always `Ok` in practice; a `Panicked`/`Missing`
@@ -706,33 +365,56 @@ fn journal_batch(
     }
 }
 
-/// [`run_supervised`] with a flight recorder: every obligation's
-/// lifecycle — start, cache probe, per-axis budget spend, panic/retry,
-/// provenance-carrying finish, degradation — is emitted on the journal's
-/// deterministic lane in obligation order, and the batch scheduling facts
-/// (queue depth, worker attribution, wall latency) on its timing lane.
+/// Runs the complete level-4 phase. Every obligation — two kernel
+/// miters, five wrapper properties, two PCC coverage runs — is
+/// panic-isolated (caught, optionally retried once), effort-budgeted
+/// under `ctx.policy`, consults `ctx.cache`, and is reported in the
+/// [`ObligationOutcome`] taxonomy alongside the (possibly partial)
+/// [`Level4Report`].
 ///
-/// The journal is coordinator-only (it is `!Sync`, so a worker closure
-/// cannot capture it) and instrumentation never perturbs results: the
-/// report and outcomes are bit-identical to [`run_supervised`] with or
-/// without a journal, and the deterministic lane is bit-identical across
-/// worker counts.
+/// Degraded entries keep the report well-formed: an undecided or panicked
+/// miter/property is recorded as not-proven, and a failed PCC run falls
+/// back to an empty coverage report. Budget-exhausted model-checking
+/// obligations are routed to the deterministic simulation cross-check
+/// ([`mc::simcheck`]): a witnessed violation upgrades them to *Refuted*.
+///
+/// Determinism: the miters and wrapper properties fan out across
+/// `ctx.mode`'s workers, each on the canonical budgeted engine with a
+/// private telemetry collector replayed into `ctx.instrument` in
+/// obligation order; the PCC runs execute sequentially — a panic escaping
+/// a parallel inner PCC sweep would leave worker-count-dependent cache
+/// state behind, so PCC trades parallelism for reproducibility. The
+/// outcome list, the report and the telemetry are bit-identical across
+/// worker counts, faults or no faults.
+///
+/// With `ctx.journal` set, every obligation's lifecycle — start, cache
+/// probe, per-axis budget spend, panic/retry, provenance-carrying finish,
+/// degradation — is emitted on the journal's deterministic lane in
+/// obligation order, and the batch scheduling facts (queue depth, worker
+/// attribution, wall latency) on its timing lane. The journal is
+/// coordinator-only (it is `!Sync`, so a worker closure cannot capture
+/// it) and never perturbs results.
+///
+/// ```
+/// let (report, outcomes) = symbad_core::level4::run(&symbad_core::RunCtx::default());
+/// // Both FPGA kernels synthesize to RTL and prove equivalent to their
+/// // behavioural source; extending the property set lifts PCC coverage.
+/// assert!(report.kernels.iter().all(|&(_, _, equivalent)| equivalent));
+/// assert!(report.pcc_extended.covered >= report.pcc_initial.covered);
+/// assert_eq!(outcomes.len(), 9);
+/// ```
 ///
 /// # Panics
 ///
-/// Same as [`run_supervised`].
-pub fn run_supervised_journaled(
-    mode: exec::ExecMode,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-    policy: &SupervisionPolicy,
-    journal: Option<&telemetry::Journal>,
-) -> (Level4Report, Vec<ObligationOutcome>) {
+/// Kernel synthesis panics propagate (a programming error, not an input
+/// condition); engine panics are supervised.
+pub fn run(ctx: &RunCtx) -> (Level4Report, Vec<ObligationOutcome>) {
     use ObligationStatus::{Panicked, Proved, Refuted, Unknown};
 
-    let effort = policy.effort;
-    let retry = policy.retry_panicked;
-    let (sim_vectors, sim_cycles) = (policy.sim_vectors, policy.sim_cycles);
+    let (mode, instrument, cache, journal) = (ctx.mode, &ctx.instrument, ctx.cache, ctx.journal);
+    let effort = ctx.policy.effort;
+    let retry = ctx.policy.retry_panicked;
+    let (sim_vectors, sim_cycles) = (ctx.policy.sim_vectors, ctx.policy.sim_cycles);
     // Private per-obligation collectors power both the deterministic
     // telemetry replay *and* the journal's effort attribution, so a
     // journaled run keeps them even under a no-op instrument.
@@ -824,7 +506,7 @@ pub fn run_supervised_journaled(
     let wrapper = bus_wrapper_fsm("bus_wrapper");
     let props: Vec<Property> = extended_properties()
         .into_iter()
-        .filter(provable_on_open_model_ref)
+        .filter(provable_on_open_model)
         .collect();
     let prop_names: Vec<String> = props
         .iter()
@@ -852,11 +534,11 @@ pub fn run_supervised_journaled(
             let (engine, verdict): (&'static str, Verdict) = match p {
                 Property::Invariant { .. } => (
                     "bdd-reach",
-                    reach::check_budgeted(&wrapper, p, &effort, instr, cache),
+                    reach::check_cached(&wrapper, p, &effort, instr, cache),
                 ),
                 Property::Response { .. } => (
                     "bmc",
-                    bmc::check_budgeted(&wrapper, p, 12, &effort, instr, cache),
+                    bmc::check_cached(&wrapper, p, 12, &effort, instr, cache),
                 ),
             };
             instr.counter_add("level4.properties_checked", 1);
@@ -951,7 +633,7 @@ pub fn run_supervised_journaled(
     let cfg = PccConfig { bmc_bound: 10 };
     let initial: Vec<Property> = initial_properties()
         .into_iter()
-        .filter(provable_on_open_model_ref)
+        .filter(provable_on_open_model)
         .collect();
     let empty_report = || PccReport {
         total: 0,
@@ -1047,10 +729,15 @@ pub fn export_vhdl() -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SupervisionPolicy;
+
+    fn plain() -> Level4Report {
+        run(&RunCtx::default()).0
+    }
 
     #[test]
     fn kernels_synthesize_and_verify() {
-        let report = run();
+        let report = plain();
         assert_eq!(report.kernels.len(), 2);
         for (name, nodes, equivalent) in &report.kernels {
             assert!(*nodes > 0, "{name} has an empty netlist");
@@ -1060,21 +747,24 @@ mod tests {
 
     #[test]
     fn parallel_level4_matches_sequential() {
-        let reference = run();
+        let (reference, reference_outcomes) = run(&RunCtx::default());
         for workers in [2, 8] {
-            let par = run_mode(exec::ExecMode::Parallel { workers }, &telemetry::noop());
+            let ctx = RunCtx {
+                mode: exec::ExecMode::Parallel { workers },
+                ..RunCtx::default()
+            };
+            let (par, outcomes) = run(&ctx);
             assert_eq!(par.kernels, reference.kernels);
             assert_eq!(par.properties, reference.properties);
-            assert_eq!(par.pcc_initial.covered, reference.pcc_initial.covered);
-            assert_eq!(par.pcc_initial.uncovered, reference.pcc_initial.uncovered);
-            assert_eq!(par.pcc_extended.covered, reference.pcc_extended.covered);
-            assert_eq!(par.pcc_extended.uncovered, reference.pcc_extended.uncovered);
+            assert_eq!(par.pcc_initial, reference.pcc_initial);
+            assert_eq!(par.pcc_extended, reference.pcc_extended);
+            assert_eq!(outcomes, reference_outcomes);
         }
     }
 
     #[test]
     fn wrapper_properties_all_prove() {
-        let report = run();
+        let report = plain();
         assert!(!report.properties.is_empty());
         for (name, engine, proven) in &report.properties {
             assert!(proven, "property {name} failed under {engine}");
@@ -1083,7 +773,7 @@ mod tests {
 
     #[test]
     fn pcc_refinement_raises_coverage() {
-        let report = run();
+        let report = plain();
         assert!(
             report.pcc_extended.pct() > report.pcc_initial.pct(),
             "extended set {}% must beat initial {}%",
@@ -1098,19 +788,10 @@ mod tests {
 
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
-    fn supervised_level4_idle_matches_legacy() {
-        let reference = run();
-        let policy = SupervisionPolicy::default();
-        let (report, outcomes) = run_supervised(
-            exec::ExecMode::Sequential,
-            &telemetry::noop(),
-            cache::noop(),
-            &policy,
-        );
-        assert_eq!(report.kernels, reference.kernels);
-        assert_eq!(report.properties, reference.properties);
-        assert_eq!(report.pcc_initial, reference.pcc_initial);
-        assert_eq!(report.pcc_extended, reference.pcc_extended);
+    fn idle_supervision_proves_every_obligation() {
+        let (report, outcomes) = run(&RunCtx::default());
+        assert!(report.kernels.iter().all(|&(_, _, eq)| eq));
+        assert!(report.properties.iter().all(|&(_, _, p)| p));
         assert_eq!(outcomes.len(), 9);
         for o in &outcomes {
             assert_eq!(
@@ -1132,10 +813,14 @@ mod tests {
             sat_decisions: Some(0),
             bdd_nodes: Some(1),
         };
-        let policy = SupervisionPolicy::with_effort(starve);
         let run_once = |mode| {
             let cache = cache::ObligationCache::new();
-            run_supervised(mode, &telemetry::noop(), &cache, &policy)
+            run(&RunCtx {
+                mode,
+                cache: &cache,
+                policy: SupervisionPolicy::with_effort(starve),
+                ..RunCtx::default()
+            })
         };
         let (report, outcomes) = run_once(exec::ExecMode::Sequential);
         // The miters still prove: their UNSAT proofs are pure level-0

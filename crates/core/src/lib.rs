@@ -15,10 +15,10 @@
 //! and context-splitting ablations, experiments E9/E10); [`cascade`] runs
 //! the full verification cascade of Figure 1 end-to-end and attributes each
 //! seeded error class to the stage that catches it (experiment E12);
-//! [`supervise`] provides the supervised-execution vocabulary (panic
-//! isolation, deterministic effort budgets, degraded partial verdicts)
-//! used by the `*_supervised` entry points of [`flow`], [`level4`], and
-//! [`cascade`].
+//! [`supervise`] provides the run context ([`RunCtx`]) and the
+//! supervised-execution vocabulary (panic isolation, deterministic effort
+//! budgets, degraded partial verdicts) that [`flow::run`], [`level4::run`]
+//! and [`cascade::run`] share.
 //!
 //! # Quickstart
 //!
@@ -48,6 +48,8 @@ pub mod workload;
 
 pub use msg::Msg;
 pub use partition::{Domain, Partition};
-pub use supervise::{DegradationSummary, ObligationOutcome, ObligationStatus, SupervisionPolicy};
+pub use supervise::{
+    DegradationSummary, ObligationOutcome, ObligationStatus, RunCtx, SupervisionPolicy,
+};
 pub use timed::{FaultReport, PlatformFault, RecoveryPolicy, RunError};
 pub use workload::Workload;

@@ -1,16 +1,19 @@
-//! Supervised execution: panic isolation, deterministic effort budgets,
-//! and partial-verdict degradation for the verification flow.
+//! Supervised execution: the run context, panic isolation, deterministic
+//! effort budgets, and partial-verdict degradation for the verification
+//! flow.
 //!
-//! The ROADMAP's verification-as-a-service north star needs a flow that
-//! *survives* misbehaving obligations: a panicking engine, a diverging
-//! SAT search, or a corrupted cache entry must degrade one obligation,
-//! never the whole run. This module provides the shared vocabulary:
+//! Every flow entry point runs its verification obligations supervised,
+//! so a panicking engine, a diverging SAT search, or a corrupted cache
+//! entry degrades one obligation, never the whole run. This module
+//! provides the shared vocabulary:
 //!
+//! * [`RunCtx`] — how a run executes (instrument, execution mode,
+//!   obligation cache, flight recorder, supervision policy), taken by
+//!   [`crate::flow::run`], [`crate::level4::run`] and
+//!   [`crate::cascade::run`],
 //! * [`ObligationOutcome`] / [`ObligationStatus`] — the per-obligation
-//!   taxonomy (Proved / Refuted / Unknown / Panicked) collected by
-//!   [`crate::flow::run_full_flow_supervised`],
-//!   [`crate::level4::run_supervised`], and
-//!   [`crate::cascade::run_supervised`],
+//!   taxonomy (Proved / Refuted / Unknown / Panicked) those entry points
+//!   collect,
 //! * [`SupervisionPolicy`] — the effort budget ([`exec::Effort`]), the
 //!   retry-once policy for panicked obligations, and the simulation
 //!   cross-check fallback parameters for budget-exhausted model-checking
@@ -82,12 +85,12 @@ impl ObligationOutcome {
     }
 }
 
-/// How the supervised entry points isolate, bound, and degrade.
+/// How a run isolates, bounds, and degrades its obligations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionPolicy {
     /// Deterministic effort budget handed to every budgeted engine call.
-    /// [`exec::Effort::unbounded`] keeps supervision idle: every engine
-    /// behaves exactly like its unbudgeted entry point.
+    /// [`exec::Effort::unbounded`] keeps supervision idle: no engine can
+    /// exhaust, so every obligation reaches its verdict.
     pub effort: exec::Effort,
     /// Retry a panicked obligation once (same closure, same inputs). A
     /// deterministic panic repeats; a corrupted-state panic may clear.
@@ -116,6 +119,60 @@ impl SupervisionPolicy {
         SupervisionPolicy {
             effort,
             ..SupervisionPolicy::default()
+        }
+    }
+}
+
+/// How a run executes — never what it verifies. The design under test
+/// (workload, platform, fault plan) is passed beside the context; the
+/// context only decides where telemetry goes, how obligations are
+/// scheduled, which verdicts may be replayed, what is journaled, and how
+/// obligations are budgeted and degraded. Every field leaves the report
+/// bit-identical except `policy`, whose budgets can degrade obligations.
+///
+/// `RunCtx::default()` is the plain run: the no-op instrument,
+/// sequential execution, the disabled cache, no journal, and the idle
+/// [`SupervisionPolicy::default`]. Override fields with struct update
+/// syntax:
+///
+/// ```
+/// use symbad_core::RunCtx;
+///
+/// let obligations = cache::ObligationCache::new();
+/// let ctx = RunCtx {
+///     mode: exec::ExecMode::Parallel { workers: 2 },
+///     cache: &obligations,
+///     ..RunCtx::default()
+/// };
+/// let (report, outcomes) = symbad_core::level4::run(&ctx);
+/// assert!(report.kernels.iter().all(|&(_, _, equivalent)| equivalent));
+/// assert!(outcomes.iter().all(|o| !o.is_degraded()));
+/// ```
+#[derive(Clone)]
+pub struct RunCtx<'a> {
+    /// Receives engine counters, spans and gauges. Parallel obligations
+    /// record into private collectors that are replayed here in
+    /// obligation order, so the stream is worker-count independent.
+    pub instrument: telemetry::SharedInstrument,
+    /// Sequential, or verification obligations fanned out across workers.
+    pub mode: exec::ExecMode,
+    /// Verdict store consulted before, and filled after, every SAT/BDD
+    /// obligation ([`cache::noop()`] disables it).
+    pub cache: &'a cache::ObligationCache,
+    /// Flight recorder for phases and obligation lifecycles, if any.
+    pub journal: Option<&'a telemetry::Journal>,
+    /// Effort budget, retry and fallback rules for every obligation.
+    pub policy: SupervisionPolicy,
+}
+
+impl Default for RunCtx<'_> {
+    fn default() -> Self {
+        RunCtx {
+            instrument: telemetry::noop(),
+            mode: exec::ExecMode::Sequential,
+            cache: cache::noop(),
+            journal: None,
+            policy: SupervisionPolicy::default(),
         }
     }
 }
@@ -246,8 +303,7 @@ pub(crate) fn run_supervised_job<R>(retry: bool, f: impl Fn() -> R) -> Supervise
 /// telemetry is worker-count independent.
 ///
 /// When telemetry is disabled the closure gets the no-op instrument and no
-/// collector is allocated (the idle path stays byte-identical to the
-/// unsupervised entry points).
+/// collector is allocated.
 pub(crate) fn supervised_obligation<R>(
     enabled: bool,
     retry: bool,

@@ -452,8 +452,9 @@ pub fn evaluate(case: &McCase) -> Evaluation {
 
     // Cached cold run then warm run: both must equal the uncached verdict.
     let store = cache::ObligationCache::new();
-    let cold = mc::bmc::check_cached(&rtl, &prop, case.bound, &telemetry::noop(), &store);
-    let warm = mc::bmc::check_cached(&rtl, &prop, case.bound, &telemetry::noop(), &store);
+    let (unbounded, noop) = (exec::Effort::unbounded(), telemetry::noop());
+    let cold = mc::bmc::check_cached(&rtl, &prop, case.bound, &unbounded, &noop, &store);
+    let warm = mc::bmc::check_cached(&rtl, &prop, case.bound, &unbounded, &noop, &store);
     if cold != bmc || warm != bmc {
         return fail(
             "cached bmc verdict diverges from the uncached engine".into(),

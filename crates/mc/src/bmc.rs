@@ -125,44 +125,17 @@ fn check_effort(
     }
 }
 
-/// [`check_instrumented`] backed by the obligation cache: a hit returns
-/// the stored verdict (counterexample trace included) without building a
-/// solver; a miss runs the engine and stores the result. Hits and misses
-/// are surfaced both on the cache's own [`cache::CacheStats`] and as
-/// `cache.hits` / `cache.misses` telemetry counters.
+/// [`check_instrumented`] under a deterministic SAT effort budget, backed
+/// by the obligation cache: a hit returns the stored verdict
+/// (counterexample trace included) without building a solver; a miss
+/// runs the engine and stores the result. The fingerprint is the standard
+/// one (engine `"bmc"`, parameter `bound` — no budget axis), so
+/// conclusive verdicts flow freely between budgeted and unbudgeted
+/// callers; budget-exhausted verdicts are never stored.
 ///
-/// Passing [`cache::noop()`] makes this byte-identical to
-/// [`check_instrumented`] — the fingerprint is not even computed.
+/// With [`exec::Effort::unbounded()`] and [`cache::noop()`] this is
+/// exactly [`check_instrumented`] — the fingerprint is not even computed.
 pub fn check_cached(
-    rtl: &Rtl,
-    property: &Property,
-    bound: u32,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Verdict {
-    if !cache.is_enabled() {
-        return check_instrumented(rtl, property, bound, instrument);
-    }
-    let fp = crate::obligation::fingerprint("bmc", rtl, property, &[u64::from(bound)]);
-    if let Some(payload) = cache.lookup_tagged("bmc", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_instrumented(rtl, property, bound, instrument);
-    cache.insert_tagged("bmc", fp, crate::cachefmt::encode_verdict(&verdict));
-    verdict
-}
-
-/// [`check_cached`] under a deterministic SAT effort budget. The cache
-/// fingerprint is the *standard* one (engine `"bmc"`, parameter `bound` —
-/// no budget axis), so conclusive verdicts flow freely between budgeted
-/// and unbudgeted callers. Budget-exhausted verdicts are never inserted:
-/// they describe the budget, not the obligation, and a retry with more
-/// effort may decide them.
-pub fn check_budgeted(
     rtl: &Rtl,
     property: &Property,
     bound: u32,
@@ -170,25 +143,15 @@ pub fn check_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !effort.bounds_sat() {
-        return check_cached(rtl, property, bound, instrument, cache);
-    }
-    if !cache.is_enabled() {
-        return check_effort(rtl, property, bound, effort, instrument);
-    }
-    let fp = crate::obligation::fingerprint("bmc", rtl, property, &[u64::from(bound)]);
-    if let Some(payload) = cache.lookup_tagged("bmc", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_effort(rtl, property, bound, effort, instrument);
-    if !verdict.is_budget_exhausted() {
-        cache.insert_tagged("bmc", fp, crate::cachefmt::encode_verdict(&verdict));
-    }
-    verdict
+    crate::obligation::cached(
+        "bmc",
+        rtl,
+        property,
+        &[u64::from(bound)],
+        instrument,
+        cache,
+        || check_effort(rtl, property, bound, effort, instrument),
+    )
 }
 
 /// Checks each property as an independent obligation, optionally across
@@ -230,15 +193,17 @@ pub fn check_many_cached(
     let jobs: Vec<usize> = (0..properties.len()).collect();
     let results = exec::map(mode, jobs, |_, pi| {
         let property = &properties[pi];
+        let unbounded = exec::Effort::unbounded();
         if !enabled {
+            let noop = telemetry::noop();
             return (
-                check_cached(rtl, property, bound, &telemetry::noop(), cache),
+                check_cached(rtl, property, bound, &unbounded, &noop, cache),
                 None,
             );
         }
         let local = std::rc::Rc::new(telemetry::Collector::new());
         let shared: telemetry::SharedInstrument = local.clone();
-        let verdict = check_cached(rtl, property, bound, &shared, cache);
+        let verdict = check_cached(rtl, property, bound, &unbounded, &shared, cache);
         drop(shared);
         let collector =
             std::rc::Rc::try_unwrap(local).expect("obligation dropped every instrument handle");
@@ -405,6 +370,7 @@ mod tests {
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn budgeted_check_degrades_deterministically_and_skips_the_cache() {
+        let unbounded = exec::Effort::unbounded();
         let p = Property::invariant("never5", BoolExpr::ne("q", 5));
         let cache = cache::ObligationCache::new();
         let starve = exec::Effort {
@@ -415,7 +381,7 @@ mod tests {
         for _ in 0..2 {
             // Deterministic on every run, and never cached.
             assert_eq!(
-                check_budgeted(&counter(), &p, 10, &starve, &telemetry::noop(), &cache),
+                check_cached(&counter(), &p, 10, &starve, &telemetry::noop(), &cache),
                 Verdict::Unknown(UnknownReason::BudgetExhausted)
             );
         }
@@ -423,10 +389,10 @@ mod tests {
         // Conclusive budgeted verdicts land in the standard-fingerprint
         // entry that unbudgeted callers share.
         let generous = exec::Effort::bounded(10_000);
-        let budgeted = check_budgeted(&counter(), &p, 10, &generous, &telemetry::noop(), &cache);
+        let budgeted = check_cached(&counter(), &p, 10, &generous, &telemetry::noop(), &cache);
         assert!(budgeted.is_violated());
         assert_eq!(
-            check_cached(&counter(), &p, 10, &telemetry::noop(), &cache),
+            check_cached(&counter(), &p, 10, &unbounded, &telemetry::noop(), &cache),
             budgeted
         );
         assert_eq!(cache.stats().hits, 1);

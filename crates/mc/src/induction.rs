@@ -119,40 +119,14 @@ fn check_effort(
     }
 }
 
-/// [`check_instrumented`] backed by the obligation cache (engine tag
-/// `"induction"`, parameter `k`). A hit replays the stored verdict —
-/// including a base-case counterexample trace — without constructing a
-/// solver; [`cache::noop()`] short-circuits to the uncached path.
+/// [`check_instrumented`] under a deterministic SAT effort budget, backed
+/// by the obligation cache (engine tag `"induction"`, parameter `k` — no
+/// budget axis, so conclusive verdicts are shared between budgeted and
+/// unbudgeted callers). A hit replays the stored verdict — including a
+/// base-case counterexample trace — without constructing a solver;
+/// budget-exhausted verdicts are never stored; [`cache::noop()`]
+/// short-circuits to the uncached path.
 pub fn check_cached(
-    rtl: &Rtl,
-    property: &Property,
-    k: u32,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Verdict {
-    if !cache.is_enabled() {
-        return check_instrumented(rtl, property, k, instrument);
-    }
-    let fp = crate::obligation::fingerprint("induction", rtl, property, &[u64::from(k)]);
-    if let Some(payload) = cache.lookup_tagged("induction", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_instrumented(rtl, property, k, instrument);
-    cache.insert_tagged("induction", fp, crate::cachefmt::encode_verdict(&verdict));
-    verdict
-}
-
-/// [`check_cached`] under a deterministic SAT effort budget. Cache
-/// fingerprints are the *standard* ones (engine `"induction"`, parameter
-/// `k` — no budget axis), so a conclusive verdict computed here is shared
-/// with unbudgeted callers and vice versa. Budget-exhausted verdicts are
-/// never inserted: they describe the budget, not the obligation, and a
-/// retry with more effort may decide them.
-pub fn check_budgeted(
     rtl: &Rtl,
     property: &Property,
     k: u32,
@@ -160,25 +134,15 @@ pub fn check_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !effort.bounds_sat() {
-        return check_cached(rtl, property, k, instrument, cache);
-    }
-    if !cache.is_enabled() {
-        return check_effort(rtl, property, k, effort, instrument);
-    }
-    let fp = crate::obligation::fingerprint("induction", rtl, property, &[u64::from(k)]);
-    if let Some(payload) = cache.lookup_tagged("induction", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_effort(rtl, property, k, effort, instrument);
-    if !verdict.is_budget_exhausted() {
-        cache.insert_tagged("induction", fp, crate::cachefmt::encode_verdict(&verdict));
-    }
-    verdict
+    crate::obligation::cached(
+        "induction",
+        rtl,
+        property,
+        &[u64::from(k)],
+        instrument,
+        cache,
+        || check_effort(rtl, property, k, effort, instrument),
+    )
 }
 
 /// Attempts each invariant as an independent k-induction obligation,
@@ -210,15 +174,17 @@ pub fn check_many_cached(
     let jobs: Vec<usize> = (0..properties.len()).collect();
     let results = exec::map(mode, jobs, |_, pi| {
         let property = &properties[pi];
+        let unbounded = exec::Effort::unbounded();
         if !enabled {
+            let noop = telemetry::noop();
             return (
-                check_cached(rtl, property, k, &telemetry::noop(), cache),
+                check_cached(rtl, property, k, &unbounded, &noop, cache),
                 None,
             );
         }
         let local = std::rc::Rc::new(telemetry::Collector::new());
         let shared: telemetry::SharedInstrument = local.clone();
-        let verdict = check_cached(rtl, property, k, &shared, cache);
+        let verdict = check_cached(rtl, property, k, &unbounded, &shared, cache);
         drop(shared);
         let collector =
             std::rc::Rc::try_unwrap(local).expect("obligation dropped every instrument handle");
@@ -342,9 +308,10 @@ mod tests {
             Property::invariant("lt3", BoolExpr::lt("q", 3)),
         ];
         let cache = cache::ObligationCache::new();
+        let unbounded = exec::Effort::unbounded();
         let cold: Vec<Verdict> = properties
             .iter()
-            .map(|p| check_cached(&rtl, p, 2, &telemetry::noop(), &cache))
+            .map(|p| check_cached(&rtl, p, 2, &unbounded, &telemetry::noop(), &cache))
             .collect();
         assert_eq!(cache.stats().misses, 2);
 
@@ -352,7 +319,7 @@ mod tests {
         let instr: telemetry::SharedInstrument = collector.clone();
         let warm: Vec<Verdict> = properties
             .iter()
-            .map(|p| check_cached(&rtl, p, 2, &instr, &cache))
+            .map(|p| check_cached(&rtl, p, 2, &unbounded, &instr, &cache))
             .collect();
         assert_eq!(warm, cold);
         assert_eq!(cache.stats().hits, 2);
@@ -373,19 +340,26 @@ mod tests {
             bdd_nodes: None,
         };
         assert_eq!(
-            check_budgeted(&rtl, &p, 2, &starve, &telemetry::noop(), &cache),
+            check_cached(&rtl, &p, 2, &starve, &telemetry::noop(), &cache),
             Verdict::Unknown(UnknownReason::BudgetExhausted)
         );
         // Exhaustion was not cached: the generous retry re-solves and
         // reaches the real verdict, then shares it with unbudgeted calls.
         let generous = exec::Effort::bounded(10_000);
         assert_eq!(
-            check_budgeted(&rtl, &p, 2, &generous, &telemetry::noop(), &cache),
+            check_cached(&rtl, &p, 2, &generous, &telemetry::noop(), &cache),
             Verdict::Proven
         );
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(
-            check_cached(&rtl, &p, 2, &telemetry::noop(), &cache),
+            check_cached(
+                &rtl,
+                &p,
+                2,
+                &exec::Effort::unbounded(),
+                &telemetry::noop(),
+                &cache
+            ),
             Verdict::Proven
         );
         assert_eq!(cache.stats().hits, 1);

@@ -17,6 +17,7 @@
 
 use crate::prop::Property;
 use crate::unrolling::{InitMode, Unroller};
+use crate::Verdict;
 use hdl::Rtl;
 use sat::Lit;
 
@@ -75,6 +76,41 @@ pub fn fingerprint(
         .lits(&roots)
         .cnf(&cnf)
         .finish()
+}
+
+/// The cache protocol every engine shares: fingerprint the obligation,
+/// replay a decodable stored verdict, otherwise `run` the engine and store
+/// its verdict. Budget-exhausted verdicts are never stored — they describe
+/// the budget, not the obligation, and a retry with more effort may decide
+/// them. An unbounded effort never exhausts, so every verdict it reaches
+/// is stored. Hits and misses surface both on the cache's own
+/// [`cache::CacheStats`] and as `cache.hits` / `cache.misses` counters; a
+/// disabled cache ([`cache::noop()`]) skips even the fingerprint.
+pub(crate) fn cached(
+    engine: &str,
+    rtl: &Rtl,
+    property: &Property,
+    params: &[u64],
+    instrument: &telemetry::SharedInstrument,
+    cache: &cache::ObligationCache,
+    run: impl FnOnce() -> Verdict,
+) -> Verdict {
+    if !cache.is_enabled() {
+        return run();
+    }
+    let fp = fingerprint(engine, rtl, property, params);
+    if let Some(payload) = cache.lookup_tagged(engine, fp) {
+        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
+            instrument.counter_add("cache.hits", 1);
+            return verdict;
+        }
+    }
+    instrument.counter_add("cache.misses", 1);
+    let verdict = run();
+    if !verdict.is_budget_exhausted() {
+        cache.insert_tagged(engine, fp, crate::cachefmt::encode_verdict(&verdict));
+    }
+    verdict
 }
 
 #[cfg(test)]

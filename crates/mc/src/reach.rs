@@ -154,14 +154,17 @@ fn check_counting(rtl: &Rtl, property: &Property, node_budget: Option<usize>) ->
     }
 }
 
-/// [`check`] backed by the obligation cache (engine tag `"reach"`, no
-/// numeric parameters — the engine is exact). A hit replays the stored
-/// verdict without building a BDD manager; [`cache::noop()`]
-/// short-circuits to the uncached path. Hits and misses are surfaced as
-/// `cache.hits` / `cache.misses` counters on `instrument`; engine runs
-/// additionally report their BDD allocation as `bdd.nodes_allocated`
-/// (the effort axis the observability journal attributes per
-/// obligation).
+/// [`check`] under a BDD node budget taken from `effort.bdd_nodes` (none:
+/// unbudgeted), backed by the obligation cache (engine tag `"reach"`, no
+/// numeric parameters — the engine is exact, and the budget is no
+/// fingerprint axis, so conclusive verdicts are shared between budgeted
+/// and unbudgeted callers). A hit replays the stored verdict without
+/// building a BDD manager; budget-exhausted verdicts are never stored;
+/// [`cache::noop()`] short-circuits to the uncached path. Hits and misses
+/// are surfaced as `cache.hits` / `cache.misses` counters on
+/// `instrument`; engine runs additionally report their BDD allocation as
+/// `bdd.nodes_allocated` (the effort axis the observability journal
+/// attributes per obligation).
 ///
 /// # Panics
 ///
@@ -171,57 +174,10 @@ fn check_counting(rtl: &Rtl, property: &Property, node_budget: Option<usize>) ->
 pub fn check_cached(
     rtl: &Rtl,
     property: &Property,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Verdict {
-    assert!(
-        matches!(property, Property::Invariant { .. }),
-        "reachability expects an invariant property"
-    );
-    assert!(
-        rtl.state_bits() <= 28,
-        "state space too wide for the naive BDD order ({} bits)",
-        rtl.state_bits()
-    );
-    if !cache.is_enabled() {
-        let (verdict, nodes) = check_counting(rtl, property, None);
-        instrument.counter_add("bdd.nodes_allocated", nodes);
-        return verdict;
-    }
-    let fp = crate::obligation::fingerprint("reach", rtl, property, &[]);
-    if let Some(payload) = cache.lookup_tagged("reach", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let (verdict, nodes) = check_counting(rtl, property, None);
-    instrument.counter_add("bdd.nodes_allocated", nodes);
-    cache.insert_tagged("reach", fp, crate::cachefmt::encode_verdict(&verdict));
-    verdict
-}
-
-/// [`check_cached`] under a BDD node budget taken from
-/// `effort.bdd_nodes`. The cache fingerprint is the *standard* one
-/// (engine `"reach"`, no parameters), so conclusive verdicts are shared
-/// with unbudgeted callers; budget-exhausted verdicts are never inserted.
-/// An effort with no `bdd_nodes` axis delegates to [`check_cached`].
-///
-/// # Panics
-///
-/// As [`check`].
-pub fn check_budgeted(
-    rtl: &Rtl,
-    property: &Property,
     effort: &exec::Effort,
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    let Some(nodes) = effort.bdd_nodes else {
-        return check_cached(rtl, property, instrument, cache);
-    };
-    let budget = Some(usize::try_from(nodes).unwrap_or(usize::MAX));
     assert!(
         matches!(property, Property::Invariant { .. }),
         "reachability expects an invariant property"
@@ -231,25 +187,14 @@ pub fn check_budgeted(
         "state space too wide for the naive BDD order ({} bits)",
         rtl.state_bits()
     );
-    if !cache.is_enabled() {
+    let budget = effort
+        .bdd_nodes
+        .map(|nodes| usize::try_from(nodes).unwrap_or(usize::MAX));
+    crate::obligation::cached("reach", rtl, property, &[], instrument, cache, || {
         let (verdict, nodes) = check_counting(rtl, property, budget);
         instrument.counter_add("bdd.nodes_allocated", nodes);
-        return verdict;
-    }
-    let fp = crate::obligation::fingerprint("reach", rtl, property, &[]);
-    if let Some(payload) = cache.lookup_tagged("reach", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let (verdict, nodes) = check_counting(rtl, property, budget);
-    instrument.counter_add("bdd.nodes_allocated", nodes);
-    if !verdict.is_budget_exhausted() {
-        cache.insert_tagged("reach", fp, crate::cachefmt::encode_verdict(&verdict));
-    }
-    verdict
+        verdict
+    })
 }
 
 #[allow(clippy::only_used_in_recursion)]
@@ -415,7 +360,7 @@ mod tests {
         let cache = cache::ObligationCache::new();
         for _ in 0..2 {
             assert_eq!(
-                check_budgeted(&rtl, &p, &starve, &telemetry::noop(), &cache),
+                check_cached(&rtl, &p, &starve, &telemetry::noop(), &cache),
                 Verdict::Unknown(UnknownReason::BudgetExhausted)
             );
         }
@@ -428,11 +373,17 @@ mod tests {
             bdd_nodes: Some(1 << 20),
         };
         assert_eq!(
-            check_budgeted(&rtl, &p, &generous, &telemetry::noop(), &cache),
+            check_cached(&rtl, &p, &generous, &telemetry::noop(), &cache),
             Verdict::Proven
         );
         assert_eq!(
-            check_cached(&rtl, &p, &telemetry::noop(), &cache),
+            check_cached(
+                &rtl,
+                &p,
+                &exec::Effort::unbounded(),
+                &telemetry::noop(),
+                &cache
+            ),
             Verdict::Proven
         );
         assert_eq!(cache.stats().hits, 1);

@@ -15,7 +15,7 @@
 //!
 //! 1. **Single-job transparency** — a service running one default job
 //!    produces a [`FlowReport`] bit-identical to calling
-//!    [`symbad_core::flow::run_full_flow_supervised`] directly.
+//!    [`symbad_core::flow::run`] directly.
 //! 2. **Batch determinism** — per-job reports depend only on the job's
 //!    spec: admission order, tenant mix, worker count and cache warmth
 //!    never change a verdict (see `docs/SERVICE.md` for the soundness
@@ -50,6 +50,7 @@ use std::time::Instant;
 
 use symbad_core::flow::{self, FlowReport};
 use symbad_core::job::JobSpec;
+use symbad_core::RunCtx;
 
 /// Admission and scheduling knobs of a [`Service`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,12 +426,19 @@ impl Service {
         self.cache.set_tenant(Some(&tenant));
         let started = Instant::now();
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            flow::run_full_flow_job_journaled(
-                &job.spec,
-                &self.instrument,
-                self.config.mode,
-                &self.cache,
-                &job_journal,
+            let spec = &job.spec;
+            let ctx = RunCtx {
+                instrument: self.instrument.clone(),
+                mode: self.config.mode,
+                cache: &self.cache,
+                journal: Some(&job_journal),
+                policy: spec.policy,
+            };
+            flow::run(
+                &spec.design.workload(),
+                &spec.platform.arch(),
+                spec.faults.map(|f| f.plan()),
+                &ctx,
             )
         }));
         let wall_us = if self.config.wall_clock {

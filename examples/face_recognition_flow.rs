@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 use symbad_core::workload::Workload;
-use symbad_core::{level1, level2, level3, level4};
+use symbad_core::{level1, level2, level3, level4, RunCtx};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::paper(2);
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Level 4 ────────────────────────────────────────────────────────
     let t = Instant::now();
-    let l4 = level4::run();
+    let (l4, _) = level4::run(&RunCtx::default());
     println!(
         "level 4 (RTL + formal): {:.2}s wall",
         t.elapsed().as_secs_f64()

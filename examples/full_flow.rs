@@ -1,4 +1,4 @@
-//! The whole methodology in one call: [`symbad_core::flow::run_full_flow`]
+//! The whole methodology in one call: [`symbad_core::flow::run`]
 //! executes levels 1–4 with every verification phase, prints the
 //! aggregated evidence, and exports the flow's telemetry. Every artifact
 //! lands under `target/flow/` (the repo root stays clean):
@@ -8,8 +8,9 @@
 //! * `flow_trace.json` — Chrome-trace spans (open in `chrome://tracing`
 //!   or <https://ui.perfetto.dev>),
 //! * `flow_signals.vcd` — gauge time-series as a VCD waveform,
-//! * `journal.jsonl` — the flight-recorder event journal (deterministic
-//!   lane first, then the timing lane), one JSON object per line,
+//! * `journal.jsonl` — the primary run's flight-recorder event journal
+//!   (deterministic lane first, then the timing lane), one JSON object
+//!   per line: every phase and every obligation's lifecycle,
 //! * `profile.txt` / `profile.json` — the [`telemetry::FlowProfile`]
 //!   aggregation of the journal: costliest obligations, per-engine cache
 //!   hit ratios, budget utilisation, latency percentiles,
@@ -37,13 +38,10 @@ use media::kernels::root_function;
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
-use symbad_core::cascade;
-use symbad_core::flow::{
-    run_full_flow_cached, run_full_flow_cached_journaled, run_full_flow_mode,
-    run_full_flow_supervised_journaled, FlowReport,
-};
-use symbad_core::supervise::SupervisionPolicy;
+use symbad_core::flow::{self, FlowReport};
+use symbad_core::partition::ArchConfig;
 use symbad_core::workload::Workload;
+use symbad_core::{cascade, RunCtx};
 use telemetry::{
     chrome_trace, journal, prom, vcd_dump, Collector, FlowProfile, Journal, Json, SharedInstrument,
     TimingKind,
@@ -496,31 +494,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let entries_loaded = cache::ObligationCache::load_or_empty(cache_dir).len();
     let obligations = cache::ObligationCache::new();
 
-    // The primary run doubles as the phase-level flight recording: every
-    // phase transition and the FPGA reconfiguration summary land on the
-    // journal's deterministic lane. Obligation-level attribution comes
-    // from the supervised run below.
+    // The primary run doubles as the flight recording: every phase
+    // transition, the FPGA reconfiguration summary, and the full lifecycle
+    // of every obligation — started / cache probe / budget spend /
+    // finished with provenance — land on the journal's deterministic lane
+    // (the cache is fresh, so the attributed effort is real engine work);
+    // wall times, queue depths, and worker attribution go to its timing
+    // lane.
     let journal = Journal::with_wall_clock();
-    let report = run_full_flow_cached_journaled(
-        &workload,
-        &instr,
-        exec::ExecMode::Sequential,
-        &obligations,
-        &journal,
-    )?;
+    let run_start = Instant::now();
+    let arch = ArchConfig::default();
+    let primary = RunCtx {
+        instrument: instr.clone(),
+        cache: &obligations,
+        journal: Some(&journal),
+        ..RunCtx::default()
+    };
+    let report = flow::run(&workload, &arch, None, &primary)?;
+    journal.emit_timing(TimingKind::RunWall {
+        label: "flow".to_owned(),
+        wall_us: u64::try_from(run_start.elapsed().as_micros()).unwrap_or(u64::MAX),
+    });
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let cold = obligations.stats();
+    assert!(report.conclusive(), "primary flow run is degraded");
 
     // Warm rerun on the now-populated cache: every verification obligation
     // is replayed from its cached verdict, and the report — verdicts,
     // counterexamples, coverage, JSON rendering — must be bit-identical.
-    let warm_report = run_full_flow_cached_journaled(
-        &workload,
-        &telemetry::noop(),
-        exec::ExecMode::Sequential,
-        &obligations,
-        &journal,
-    )?;
+    let cached = RunCtx {
+        cache: &obligations,
+        ..RunCtx::default()
+    };
+    let warm_report = flow::run(&workload, &arch, None, &cached)?;
     assert_eq!(
         warm_report.to_json(),
         report.to_json(),
@@ -568,12 +574,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pool_only = obligations.retain_lemmas();
     let sat_collector = Collector::shared();
     let sat_instr: SharedInstrument = sat_collector.clone();
-    let warm_pool_report = run_full_flow_cached(
-        &workload,
-        &sat_instr,
-        exec::ExecMode::Sequential,
-        &pool_only,
-    )?;
+    let pool_ctx = RunCtx {
+        instrument: sat_instr,
+        cache: &pool_only,
+        ..RunCtx::default()
+    };
+    let warm_pool_report = flow::run(&workload, &arch, None, &pool_ctx)?;
     assert_eq!(
         warm_pool_report.to_json(),
         report.to_json(),
@@ -606,28 +612,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sat_bench.micro_seeded_conflicts,
         sat_bench.micro_conflict_reduction * 100.0,
     );
-
-    // Flight recorder proper: rerun the flow supervised and journaled (a
-    // fresh cache again, so every obligation does real engine work and the
-    // attributed effort is non-trivial). The journal records the full
-    // obligation lifecycle — started / cache probe / budget spend /
-    // finished with provenance — on the deterministic lane, and wall
-    // times, queue depths, and worker attribution on the timing lane.
-    let fr_start = Instant::now();
-    let fr_cache = cache::ObligationCache::new();
-    let supervised = run_full_flow_supervised_journaled(
-        &workload,
-        &instr,
-        exec::ExecMode::Sequential,
-        &fr_cache,
-        &SupervisionPolicy::default(),
-        &journal,
-    )?;
-    journal.emit_timing(TimingKind::RunWall {
-        label: "flow.supervised".to_owned(),
-        wall_us: u64::try_from(fr_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-    });
-    assert!(supervised.all_ok(), "supervised flight-recorder run failed");
 
     // Every journal line must satisfy the checked-in schema, and the
     // Prometheus exposition must parse back with a non-trivial series set.
@@ -672,11 +656,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exec::ExecMode::host_parallel()
     };
     let compare = if mode.is_parallel() {
+        let sequential = RunCtx::default();
+        let parallel = RunCtx {
+            mode,
+            ..RunCtx::default()
+        };
         let seq_start = Instant::now();
-        let seq_report = run_full_flow_mode(&workload, exec::ExecMode::Sequential)?;
+        let seq_report = flow::run(&workload, &arch, None, &sequential)?;
         let flow_seq_ms = seq_start.elapsed().as_secs_f64() * 1e3;
         let par_start = Instant::now();
-        let par_report = run_full_flow_mode(&workload, mode)?;
+        let par_report = flow::run(&workload, &arch, None, &parallel)?;
         let flow_par_ms = par_start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             par_report.to_json(),
@@ -688,10 +677,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The verification cascade alone (the level-1..4 checking stages
         // with no simulation in between) is where the fan-out pays off most.
         let cas_start = Instant::now();
-        let cas_seq = cascade::run();
+        let cas_seq = cascade::run(&sequential);
         let cascade_seq_ms = cas_start.elapsed().as_secs_f64() * 1e3;
         let cas_start = Instant::now();
-        let cas_par = cascade::run_mode(mode);
+        let cas_par = cascade::run(&parallel);
         let cascade_par_ms = cas_start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(cas_par, cas_seq, "parallel cascade must be bit-identical");
         println!(

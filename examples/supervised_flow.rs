@@ -1,6 +1,5 @@
-//! The supervised flow end to end:
-//! [`symbad_core::flow::run_full_flow_supervised_journaled`] executes the
-//! whole methodology under panic isolation and a deterministic effort
+//! The supervised flow end to end: [`symbad_core::flow::run`] executes
+//! the whole methodology under panic isolation and a deterministic effort
 //! budget with the flight recorder attached, then proves the degradation
 //! contract by rerunning the flow with 1, 2, and 8 workers (fresh
 //! obligation cache each time) and asserting that the report, the
@@ -32,9 +31,11 @@
 //! ```
 
 use std::fs;
-use symbad_core::flow::{run_full_flow_supervised_journaled, FlowReport};
+use symbad_core::flow::{self, FlowReport};
+use symbad_core::partition::ArchConfig;
 use symbad_core::supervise::SupervisionPolicy;
 use symbad_core::workload::Workload;
+use symbad_core::RunCtx;
 use telemetry::{EventKind, FlowProfile, Journal};
 
 /// The per-regime policy: bounded under `diverge-mutant` (divergence only
@@ -62,14 +63,14 @@ fn run_with(
     // differ across worker counts.
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
-    let report = run_full_flow_supervised_journaled(
-        &Workload::small(),
-        &telemetry::noop(),
-        exec::ExecMode::from_workers(workers),
-        &cache,
-        policy,
-        &journal,
-    )?;
+    let ctx = RunCtx {
+        mode: exec::ExecMode::from_workers(workers),
+        cache: &cache,
+        journal: Some(&journal),
+        policy: *policy,
+        ..RunCtx::default()
+    };
+    let report = flow::run(&Workload::small(), &ArchConfig::default(), None, &ctx)?;
     Ok((report, journal))
 }
 

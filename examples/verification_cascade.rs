@@ -5,10 +5,10 @@
 //! cargo run --release --example verification_cascade
 //! ```
 
-use symbad_core::cascade;
+use symbad_core::{cascade, RunCtx};
 
 fn main() {
-    let report = cascade::run();
+    let (report, _) = cascade::run(&RunCtx::default());
     println!("Symbad verification cascade\n");
     for s in &report.stages {
         println!("level {} — {}", s.level, s.stage);

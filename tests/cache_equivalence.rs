@@ -9,15 +9,34 @@
 //! so solver constructions stay strictly below SAT calls.
 
 use std::fs;
-use symbad_core::flow::run_full_flow_cached;
+use symbad_core::flow::{self, FlowReport};
+use symbad_core::partition::ArchConfig;
 use symbad_core::workload::Workload;
+use symbad_core::RunCtx;
 use symbad_suite::testkit::scratch_dir;
+
+/// Runs the flow on the default platform with the given instrument,
+/// execution mode and obligation cache.
+fn cached_flow(
+    w: &Workload,
+    instrument: &telemetry::SharedInstrument,
+    mode: exec::ExecMode,
+    cache: &cache::ObligationCache,
+) -> Result<FlowReport, sim::SimError> {
+    let ctx = RunCtx {
+        instrument: instrument.clone(),
+        mode,
+        cache,
+        ..RunCtx::default()
+    };
+    flow::run(w, &ArchConfig::default(), None, &ctx)
+}
 
 #[test]
 fn warm_rerun_hits_at_least_half_of_obligations() {
     let w = Workload::small();
     let obligations = cache::ObligationCache::new();
-    let cold = run_full_flow_cached(
+    let cold = cached_flow(
         &w,
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -27,7 +46,7 @@ fn warm_rerun_hits_at_least_half_of_obligations() {
     let after_cold = obligations.stats();
     assert!(after_cold.misses > 0, "cold run must populate the cache");
 
-    let warm = run_full_flow_cached(
+    let warm = cached_flow(
         &w,
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -53,7 +72,7 @@ fn warm_rerun_hits_at_least_half_of_obligations() {
 #[test]
 fn cold_and_warm_reports_are_bit_identical_across_worker_counts() {
     let w = Workload::small();
-    let reference = run_full_flow_cached(
+    let reference = cached_flow(
         &w,
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -64,10 +83,8 @@ fn cold_and_warm_reports_are_bit_identical_across_worker_counts() {
     for workers in [1usize, 8] {
         let mode = exec::ExecMode::Parallel { workers };
         let obligations = cache::ObligationCache::new();
-        let cold = run_full_flow_cached(&w, &telemetry::noop(), mode, &obligations)
-            .expect("cold flow runs");
-        let warm = run_full_flow_cached(&w, &telemetry::noop(), mode, &obligations)
-            .expect("warm flow runs");
+        let cold = cached_flow(&w, &telemetry::noop(), mode, &obligations).expect("cold flow runs");
+        let warm = cached_flow(&w, &telemetry::noop(), mode, &obligations).expect("warm flow runs");
         assert_eq!(
             cold.to_json(),
             reference,
@@ -86,7 +103,7 @@ fn cache_persistence_round_trips_through_disk() {
     let w = Workload::small();
     let dir = scratch_dir("round-trip");
     let obligations = cache::ObligationCache::new();
-    let cold = run_full_flow_cached(
+    let cold = cached_flow(
         &w,
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -105,7 +122,7 @@ fn cache_persistence_round_trips_through_disk() {
 
     // A flow run against the reloaded cache is fully warm: zero misses,
     // and the report is still bit-identical.
-    let warm = run_full_flow_cached(
+    let warm = cached_flow(
         &w,
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -127,7 +144,7 @@ fn cache_persistence_round_trips_through_disk() {
 fn saved_cache_text(name: &str) -> (std::path::PathBuf, String, String) {
     let dir = scratch_dir(name);
     let obligations = cache::ObligationCache::new();
-    let cold = run_full_flow_cached(
+    let cold = cached_flow(
         &Workload::small(),
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -209,7 +226,7 @@ fn garbage_entries_load_empty_and_garbage_payloads_stay_sound() {
         poisoned.insert(fp, "<<corrupted payload>>".to_owned());
     }
     assert!(!poisoned.is_empty());
-    let report = run_full_flow_cached(
+    let report = cached_flow(
         &Workload::small(),
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -314,7 +331,7 @@ fn lemma_pool_persistence_round_trips_through_disk() {
 fn corrupted_lemma_files_load_an_empty_pool_without_touching_verdicts() {
     let dir = scratch_dir("lemma-corrupt");
     let obligations = cache::ObligationCache::new();
-    let cold = run_full_flow_cached(
+    let cold = cached_flow(
         &Workload::small(),
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -346,7 +363,7 @@ fn corrupted_lemma_files_load_an_empty_pool_without_touching_verdicts() {
             !loaded.is_empty(),
             "lemma corruption must not discard the verdict entries"
         );
-        let warm = run_full_flow_cached(
+        let warm = cached_flow(
             &Workload::small(),
             &telemetry::noop(),
             exec::ExecMode::Sequential,
@@ -362,7 +379,7 @@ fn corrupted_lemma_files_load_an_empty_pool_without_touching_verdicts() {
 fn retain_lemmas_keeps_the_pool_and_drops_the_verdicts() {
     let w = Workload::small();
     let obligations = cache::ObligationCache::new();
-    let cold = run_full_flow_cached(
+    let cold = cached_flow(
         &w,
         &telemetry::noop(),
         exec::ExecMode::Sequential,
@@ -388,8 +405,8 @@ fn retain_lemmas_keeps_the_pool_and_drops_the_verdicts() {
         exec::ExecMode::Parallel { workers: 8 },
     ] {
         let pool_only = warmed.retain_lemmas();
-        let report = run_full_flow_cached(&w, &telemetry::noop(), mode, &pool_only)
-            .expect("warm-pool flow runs");
+        let report =
+            cached_flow(&w, &telemetry::noop(), mode, &pool_only).expect("warm-pool flow runs");
         assert_eq!(
             report.to_json(),
             cold.to_json(),
@@ -413,7 +430,7 @@ fn bmc_constructs_strictly_fewer_solvers_than_it_makes_sat_calls() {
     let w = Workload::small();
     let collector = telemetry::Collector::shared();
     let instr: telemetry::SharedInstrument = collector.clone();
-    run_full_flow_cached(
+    cached_flow(
         &w,
         &instr,
         exec::ExecMode::Sequential,

@@ -1,11 +1,11 @@
 //! Experiment E12: the Figure-1 verification cascade catches one seeded
 //! error per class, at the stage the paper assigns to it.
 
-use symbad_core::cascade;
+use symbad_core::{cascade, RunCtx};
 
 #[test]
 fn cascade_catches_every_seeded_error_class() {
-    let report = cascade::run();
+    let (report, _) = cascade::run(&RunCtx::default());
     assert!(report.all_effective(), "{:#?}", report.stages);
     // The five stages: ATPG, LPV deadlock, LPV deadline, SymbC, MC.
     let names: Vec<&str> = report.stages.iter().map(|s| s.stage).collect();

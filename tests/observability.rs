@@ -10,9 +10,11 @@
 //! flight recording of a faulty run must still not depend on the worker
 //! count.
 
-use symbad_core::flow::run_full_flow_supervised_journaled;
+use symbad_core::flow;
+use symbad_core::partition::ArchConfig;
 use symbad_core::supervise::SupervisionPolicy;
 use symbad_core::workload::Workload;
+use symbad_core::RunCtx;
 use telemetry::{journal, EventKind, FlowProfile, Journal};
 
 /// The per-regime policy, mirroring `examples/supervised_flow.rs`:
@@ -36,15 +38,15 @@ fn journaled(workers: usize) -> Journal {
     exec::silence_injected_panics();
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
-    run_full_flow_supervised_journaled(
-        &Workload::small(),
-        &telemetry::noop(),
-        exec::ExecMode::from_workers(workers),
-        &cache,
-        &policy(),
-        &journal,
-    )
-    .expect("supervised flow runs");
+    let ctx = RunCtx {
+        mode: exec::ExecMode::from_workers(workers),
+        cache: &cache,
+        journal: Some(&journal),
+        policy: policy(),
+        ..RunCtx::default()
+    };
+    flow::run(&Workload::small(), &ArchConfig::default(), None, &ctx)
+        .expect("supervised flow runs");
     journal
 }
 
@@ -122,15 +124,15 @@ fn prometheus_exposition_round_trips() {
     exec::silence_injected_panics();
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
-    run_full_flow_supervised_journaled(
-        &Workload::small(),
-        &instr,
-        exec::ExecMode::Sequential,
-        &cache,
-        &policy(),
-        &journal,
-    )
-    .expect("supervised flow runs");
+    let ctx = RunCtx {
+        instrument: instr,
+        cache: &cache,
+        journal: Some(&journal),
+        policy: policy(),
+        ..RunCtx::default()
+    };
+    flow::run(&Workload::small(), &ArchConfig::default(), None, &ctx)
+        .expect("supervised flow runs");
     let text = telemetry::prometheus_text(&collector);
     let samples = telemetry::parse_exposition(&text).expect("exposition parses");
     assert!(samples.len() > 16, "sparse exposition: {}", samples.len());

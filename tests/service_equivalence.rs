@@ -15,8 +15,9 @@
 use serve::{AdmissionError, Service, ServiceConfig};
 use symbad_core::flow;
 use symbad_core::job::{FaultPlanSpec, JobSpec};
-use symbad_core::supervise::SupervisionPolicy;
+use symbad_core::partition::ArchConfig;
 use symbad_core::workload::Workload;
+use symbad_core::RunCtx;
 
 /// A cheap job (2-identity gallery, one probe) for batch tests.
 fn quick_spec() -> JobSpec {
@@ -77,15 +78,13 @@ fn single_default_job_is_bit_identical_to_the_supervised_flow() {
     // Reference: the library entry point on a fresh cache, journaled.
     let reference_cache = cache::ObligationCache::new();
     let reference_journal = telemetry::Journal::new();
-    let reference = flow::run_full_flow_supervised_journaled(
-        &Workload::small(),
-        &telemetry::noop(),
-        exec::ExecMode::Sequential,
-        &reference_cache,
-        &SupervisionPolicy::default(),
-        &reference_journal,
-    )
-    .expect("supervised flow runs");
+    let ctx = RunCtx {
+        cache: &reference_cache,
+        journal: Some(&reference_journal),
+        ..RunCtx::default()
+    };
+    let reference = flow::run(&Workload::small(), &ArchConfig::default(), None, &ctx)
+        .expect("supervised flow runs");
 
     // Service: one default job on a fresh service.
     let mut svc = service(ServiceConfig::default());

@@ -2,11 +2,11 @@
 //!
 //! Three regimes, selected by feature flags:
 //!
-//! * **honest engines** (default build): supervision idle ⇒ the
-//!   supervised flow reproduces the legacy flow exactly and the legacy
-//!   report still renders without a `degradation` section (so the pinned
-//!   goldens are untouched); a starved effort budget degrades the flow
-//!   gracefully and bit-identically for workers 1, 2, and 8.
+//! * **honest engines** (default build): supervision idle ⇒ the flow
+//!   reproduces `run_full_flow` exactly, and `run_full_flow` still
+//!   renders without a `degradation` section (so the pinned goldens are
+//!   untouched); a starved effort budget degrades the flow gracefully and
+//!   bit-identically for workers 1, 2, and 8.
 //! * **`--features panic-mutant`**: the SAT solver panics every 256th
 //!   propagation, yet the full flow completes with a deterministic
 //!   partial report (panicked obligations counted and retried once).
@@ -14,9 +14,11 @@
 //!   its entire budget, yet a generous budget still yields a
 //!   deterministic partial report instead of a hang or crash.
 
-use symbad_core::flow::{run_full_flow_supervised, FlowReport};
+use symbad_core::flow::{self, FlowReport};
+use symbad_core::partition::ArchConfig;
 use symbad_core::supervise::SupervisionPolicy;
 use symbad_core::workload::Workload;
+use symbad_core::RunCtx;
 
 fn supervised_with(
     workers: usize,
@@ -26,14 +28,14 @@ fn supervised_with(
     // Fresh cache per run: the degradation pattern must come from the
     // budget/faults, never from which verdicts a previous run cached.
     let cache = cache::ObligationCache::new();
-    run_full_flow_supervised(
-        &Workload::small(),
-        instrument,
-        exec::ExecMode::from_workers(workers),
-        &cache,
-        policy,
-    )
-    .expect("supervised flow runs")
+    let ctx = RunCtx {
+        instrument: instrument.clone(),
+        mode: exec::ExecMode::from_workers(workers),
+        cache: &cache,
+        journal: None,
+        policy: *policy,
+    };
+    flow::run(&Workload::small(), &ArchConfig::default(), None, &ctx).expect("supervised flow runs")
 }
 
 fn supervised(workers: usize, policy: &SupervisionPolicy) -> FlowReport {
@@ -43,20 +45,11 @@ fn supervised(workers: usize, policy: &SupervisionPolicy) -> FlowReport {
 #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
 mod honest {
     use super::*;
-    use symbad_core::flow::run_full_flow_cached;
 
     #[test]
     fn idle_supervision_reproduces_the_legacy_flow() {
-        let w = Workload::small();
-        let legacy_cache = cache::ObligationCache::new();
-        let legacy = run_full_flow_cached(
-            &w,
-            &telemetry::noop(),
-            exec::ExecMode::Sequential,
-            &legacy_cache,
-        )
-        .expect("legacy flow runs");
-        // The legacy report has no degradation section — the golden
+        let legacy = flow::run_full_flow(&Workload::small()).expect("legacy flow runs");
+        // `run_full_flow` renders no degradation section — the golden
         // `flow_report.json` (pinned by tests/telemetry_golden.rs) is
         // untouched by the supervision layer.
         assert!(legacy.degradation.is_none());
