@@ -287,13 +287,15 @@ fn inject_block(stmts: &[Stmt], fault: BitFault, func: &Function) -> Vec<Stmt> {
 /// Returns [`FormalError::Synth`] when either version cannot be
 /// synthesized.
 pub fn sat_fault_tpg(func: &Function, fault: BitFault) -> Result<Option<Vec<u64>>, FormalError> {
-    sat_fault_tpg_cached(func, fault, cache::noop())
+    sat_fault_tpg_cached(func, fault, &telemetry::noop(), cache::noop())
 }
 
 /// [`sat_fault_tpg`] backed by the obligation cache (engine tag
 /// `"atpg.fault"`). The fingerprint covers the good/faulty miter CNF, the
 /// shared input literal layout, and the "outputs differ" root, so a hit
 /// replays the stored test vector or untestability proof without solving.
+/// The miter's solver reports its effort (`sat.*` counters) to
+/// `instrument`; a cache hit solves nothing and reports nothing.
 ///
 /// # Errors
 ///
@@ -301,11 +303,15 @@ pub fn sat_fault_tpg(func: &Function, fault: BitFault) -> Result<Option<Vec<u64>
 pub fn sat_fault_tpg_cached(
     func: &Function,
     fault: BitFault,
+    instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Result<Option<Vec<u64>>, FormalError> {
     let good = synthesize(func)?;
     let bad = synthesize(&inject_fault(func, fault))?;
     let mut ctx = CnfBackend::new();
+    if instrument.enabled() {
+        ctx.builder_mut().set_instrument(instrument.clone());
+    }
     let input_bits: Vec<Vec<Lit>> = good
         .inputs()
         .iter()
@@ -407,7 +413,7 @@ pub fn complete_faults_with_sat_cached(
 ) -> Result<(Testbench, u32), FormalError> {
     let cov = crate::metrics::bit_coverage(func, tb);
     let results = exec::map(mode, cov.undetected, |_, fault| {
-        sat_fault_tpg_cached(func, fault, cache)
+        sat_fault_tpg_cached(func, fault, &telemetry::noop(), cache)
     });
     let mut out = tb.clone();
     let mut untestable = 0u32;
@@ -706,8 +712,11 @@ mod tests {
             bit: 3,
             stuck_at: true,
         };
-        assert_eq!(sat_fault_tpg_cached(&g, fault, &cache).unwrap(), None);
-        assert_eq!(sat_fault_tpg_cached(&g, fault, &cache).unwrap(), None);
+        let noop = telemetry::noop();
+        for _ in 0..2 {
+            let verdict = sat_fault_tpg_cached(&g, fault, &noop, &cache).unwrap();
+            assert_eq!(verdict, None);
+        }
         assert_eq!(cache.stats().hits, 2);
 
         // A cached run equals the uncached reference wholesale.

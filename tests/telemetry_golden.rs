@@ -56,15 +56,49 @@ fn flow_counters_are_byte_identical() {
     let collector = Collector::shared();
     let instr: SharedInstrument = collector.clone();
     run_full_flow_instrumented(&Workload::small(), &instr).expect("flow runs");
+    assert_golden("flow_counters.json", &counters_json(&collector));
+}
+
+/// Pins the SAT work of the DISTANCE fault campaign: the miter solves for
+/// the 47 bit faults that 64 rounds of seed-3 random TPG leave undetected
+/// (29 testable, 18 untestable). A change to the solver's search —
+/// branching, learning, restarts — shows up here as a diff, and a change
+/// that must leave the search alone must leave this file alone.
+#[test]
+fn atpg_counters_are_byte_identical() {
+    use atpg::formal::sat_fault_tpg_cached;
+    use atpg::metrics::bit_coverage;
+    use atpg::tpg::{random_tpg, RandomConfig};
+
+    let func = media::kernels::distance_step_function();
+    let tb = random_tpg(
+        &func,
+        &RandomConfig {
+            rounds: 64,
+            seed: 3,
+        },
+    );
+    let faults = bit_coverage(&func, &tb).undetected;
+    assert_eq!(faults.len(), 47);
+    let collector = Collector::shared();
+    let instr: SharedInstrument = collector.clone();
+    let untestable = faults
+        .iter()
+        .map(|&f| sat_fault_tpg_cached(&func, f, &instr, cache::noop()).expect("synthesizes"))
+        .filter(Option::is_none)
+        .count();
+    assert_eq!(untestable, 18);
+    assert_golden("atpg_counters.json", &counters_json(&collector));
+}
+
+/// Every counter of `collector`, sorted by name, as a JSON object.
+fn counters_json(collector: &Collector) -> String {
     let lines: Vec<String> = collector
         .counters()
         .into_iter()
         .map(|(name, value)| format!("  \"{name}\": {value}"))
         .collect();
-    assert_golden(
-        "flow_counters.json",
-        &format!("{{\n{}\n}}\n", lines.join(",\n")),
-    );
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
 #[test]
