@@ -181,6 +181,9 @@ pub struct Solver {
     var_inc: f64,
     order: VarOrder,
     polarity: Vec<bool>,
+    /// Conflict-analysis marks, one per variable; all `false` between
+    /// conflicts ([`Solver::analyze`] clears what it sets).
+    seen: Vec<bool>,
     unsat: bool,
     model: Vec<u8>,
     conflicts: u64,
@@ -248,6 +251,7 @@ impl Default for Solver {
             var_inc: 0.0,
             order: VarOrder::default(),
             polarity: Vec::new(),
+            seen: Vec::new(),
             unsat: false,
             model: Vec::new(),
             conflicts: 0,
@@ -306,6 +310,7 @@ impl Solver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.polarity.push(self.default_polarity);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.grow(self.assign.len());
@@ -697,8 +702,11 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis. Returns (learnt clause, backtrack level).
+    ///
+    /// Marks resolved variables in the persistent `seen` buffer and clears
+    /// exactly the marks it set before returning, so a conflict costs no
+    /// allocation beyond the learnt clause itself.
     fn analyze(&mut self, mut conflict: usize) -> (Vec<Lit>, u32) {
-        let mut seen = vec![false; self.num_vars()];
         let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder for asserting lit
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
@@ -707,11 +715,11 @@ impl Solver {
 
         loop {
             let start = if p.is_none() { 0 } else { 1 };
-            let lits: Vec<Lit> = self.clauses[conflict].lits[start..].to_vec();
-            for q in lits {
+            for k in start..self.clauses[conflict].lits.len() {
+                let q = self.clauses[conflict].lits[k];
                 let v = q.var();
-                if !seen[v.index()] && self.level[v.index()] > 0 {
-                    seen[v.index()] = true;
+                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = true;
                     self.bump_var(v);
                     if self.level[v.index()] == current_level {
                         counter += 1;
@@ -724,19 +732,24 @@ impl Solver {
             loop {
                 index -= 1;
                 let l = self.trail[index];
-                if seen[l.var().index()] {
+                if self.seen[l.var().index()] {
                     p = Some(l);
                     break;
                 }
             }
             let pv = p.expect("found").var();
-            seen[pv.index()] = false;
+            self.seen[pv.index()] = false;
             counter -= 1;
             if counter == 0 {
                 learnt[0] = !p.expect("found");
                 break;
             }
             conflict = self.reason[pv.index()].expect("non-decision has reason");
+        }
+        // Every current-level mark was cleared as it was resolved; the
+        // rest are exactly the lower-level literals of the learnt clause.
+        for l in &learnt[1..] {
+            self.seen[l.var().index()] = false;
         }
 
         // Backtrack level: second-highest decision level in the clause.
@@ -1035,31 +1048,30 @@ impl Solver {
                     self.backtrack_to(conflict_level);
                 }
                 let (learnt, bt) = self.analyze(conflict);
-                // Glue (LBD — distinct decision levels among the learnt
-                // literals) must be read *before* backtracking wipes the
-                // per-variable levels; the length pre-check keeps the
-                // no-sharing path free of the scan.
-                let export_glue = match &self.share {
-                    Some(share) if share.wants_len(learnt.len()) => Some(self.clause_glue(&learnt)),
-                    _ => None,
-                };
-                self.backtrack_to(bt);
-                if learnt.len() == 1 {
-                    if !self.enqueue(learnt[0], None) {
-                        self.unsat = true;
-                        return Some(SolveResult::Unsat);
-                    }
-                } else {
-                    let ci = self.attach_clause(learnt.clone(), true);
-                    if !self.enqueue(learnt[0], Some(ci)) {
-                        self.unsat = true;
-                        return Some(SolveResult::Unsat);
-                    }
-                }
-                if let Some(glue) = export_glue {
+                // Export before backtracking: glue (LBD — distinct decision
+                // levels among the learnt literals) reads the conflict-time
+                // levels. The length pre-check keeps the no-sharing path
+                // free of the scan and of any copy of the clause.
+                if self
+                    .share
+                    .as_ref()
+                    .is_some_and(|s| s.wants_len(learnt.len()))
+                {
+                    let glue = self.clause_glue(&learnt);
                     if let Some(share) = self.share.as_mut() {
                         share.offer(&learnt, glue);
                     }
+                }
+                self.backtrack_to(bt);
+                let asserting = learnt[0];
+                let reason = if learnt.len() == 1 {
+                    None
+                } else {
+                    Some(self.attach_clause(learnt, true))
+                };
+                if !self.enqueue(asserting, reason) {
+                    self.unsat = true;
+                    return Some(SolveResult::Unsat);
                 }
                 self.decay_activities();
                 if conflicts_here >= conflict_budget {
