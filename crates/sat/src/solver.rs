@@ -244,11 +244,7 @@ impl Default for Solver {
             trail_lim: Vec::new(),
             queue_head: 0,
             activity: Vec::new(),
-            // Historical quirk kept for reproducibility: default-constructed
-            // solvers (e.g. inside `CnfBuilder::default`) bump activities by
-            // 0, so their decision order is allocation order. `Solver::new`
-            // enables real VSIDS via `var_inc = 1.0`.
-            var_inc: 0.0,
+            var_inc: 1.0,
             order: VarOrder::default(),
             polarity: Vec::new(),
             seen: Vec::new(),
@@ -276,12 +272,9 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver.
+    /// Creates an empty solver (the same as [`Solver::default`]).
     pub fn new() -> Self {
-        Solver {
-            var_inc: 1.0,
-            ..Solver::default()
-        }
+        Solver::default()
     }
 
     /// Sets the saved-phase default for variables allocated *after* this
