@@ -200,7 +200,13 @@ const STAGE_META: [(&str, u8, &str); 5] = [
 /// degrades to a fabricated `StageResult` (from the crate-private
 /// `STAGE_META` table) with `caught: false`, `clean_passes: false`, and
 /// the panic message as detail — the cascade always returns all five
-/// stages. The stages record no telemetry and no journal events.
+/// stages.
+///
+/// Each stage records into a private telemetry collector, replayed into
+/// `ctx.instrument` in stage order (as [`crate::level4::run`] does), so
+/// the counters — the BMC stage's `bmc.*` and `sat.*` effort, and
+/// `exec.panics_caught` — are the same for every worker count. The
+/// stages emit no journal events.
 ///
 /// ```
 /// let (report, _) = symbad_core::cascade::run(&symbad_core::RunCtx::default());
@@ -209,20 +215,24 @@ const STAGE_META: [(&str, u8, &str); 5] = [
 pub fn run(ctx: &RunCtx) -> (CascadeReport, Vec<ObligationOutcome>) {
     let (cache, effort) = (ctx.cache, ctx.policy.effort);
     let retry = ctx.policy.retry_panicked;
+    let enabled = ctx.instrument.enabled();
     let jobs: Vec<usize> = (0..STAGE_META.len()).collect();
     let supervised = exec::map(ctx.mode, jobs, |_, i| {
-        supervise::run_supervised_job(retry, || match i {
+        supervise::supervised_obligation(enabled, retry, |instr| match i {
             0 => (stage_atpg(), false),
             1 => (stage_lpv_liveness(), false),
             2 => (stage_lpv_deadline(), false),
             3 => (stage_symbc(), false),
-            _ => stage_model_checking(cache, &effort),
+            _ => stage_model_checking(cache, &effort, instr),
         })
     });
 
     let mut stages = Vec::new();
     let mut outcomes = Vec::new();
-    for (i, sup) in supervised.into_iter().enumerate() {
+    for (i, (sup, collector)) in supervised.into_iter().enumerate() {
+        if let Some(collector) = collector {
+            collector.replay_into(ctx.instrument.as_ref());
+        }
         let (stage, status, detail) = match sup.value {
             Some((stage, budget_exhausted)) => {
                 let status = if budget_exhausted {
@@ -380,6 +390,7 @@ fn stage_symbc() -> StageResult {
 fn stage_model_checking(
     cache: &cache::ObligationCache,
     effort: &exec::Effort,
+    instrument: &telemetry::SharedInstrument,
 ) -> (StageResult, bool) {
     let buggy = wrapper(false);
     let clean = wrapper(true);
@@ -389,8 +400,8 @@ fn stage_model_checking(
         BoolExpr::eq("state", 0),
         1,
     );
-    let buggy_verdict = bmc::check_cached(&buggy, &p, 10, effort, &telemetry::noop(), cache);
-    let clean_verdict = bmc::check_cached(&clean, &p, 10, effort, &telemetry::noop(), cache);
+    let buggy_verdict = bmc::check_cached(&buggy, &p, 10, effort, instrument, cache);
+    let clean_verdict = bmc::check_cached(&clean, &p, 10, effort, instrument, cache);
     let budget_exhausted =
         buggy_verdict.is_budget_exhausted() || clean_verdict.is_budget_exhausted();
     let stage = StageResult {
@@ -455,6 +466,24 @@ mod tests {
             };
             assert_eq!(run(&ctx), reference);
         }
+    }
+
+    #[test]
+    fn instrumented_cascade_records_bmc_effort_for_any_worker_count() {
+        let collect = |mode| {
+            let collector = telemetry::Collector::shared();
+            run(&RunCtx {
+                instrument: collector.clone(),
+                mode,
+                ..RunCtx::default()
+            });
+            collector
+        };
+        let sequential = collect(exec::ExecMode::Sequential);
+        assert!(sequential.counter("bmc.sat_calls") > 0);
+        assert!(sequential.counter("sat.solve_calls") > 0);
+        let parallel = collect(exec::ExecMode::Parallel { workers: 2 });
+        assert_eq!(parallel.counters(), sequential.counters());
     }
 
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
